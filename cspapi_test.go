@@ -1,7 +1,10 @@
 package locsample_test
 
 import (
+	"bytes"
+	"strings"
 	"testing"
+	"time"
 
 	"locsample"
 )
@@ -101,5 +104,46 @@ func TestNewCSPCustom(t *testing.T) {
 	}
 	if out[0] == out[1] && out[1] == out[2] {
 		t.Fatal("monochromatic output from NAE constraint")
+	}
+}
+
+// TestSampleCSPHonorsSamplerOptions: the one-shot CSP entry points build
+// their sampler from the fully resolved option set, so options beyond the
+// round-runtime knobs reach it. WithMetrics must record the draws, and
+// WithRemoteWorkers must place the shards on the (here unreachable)
+// fleet, so the draw fails instead of silently running in-process.
+func TestSampleCSPHonorsSamplerOptions(t *testing.T) {
+	g := locsample.GridGraph(6, 6)
+	c := locsample.NewDominatingSet(g)
+	init := make([]int, g.N())
+	for i := range init {
+		init[i] = 1
+	}
+
+	reg := locsample.NewMetrics()
+	if _, _, err := locsample.SampleCSP(g, c, init, 9, 5, false, locsample.WithMetrics(reg)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := locsample.SampleCSPN(g, c, init, 9, 5, 3, 0, locsample.WithMetrics(reg)); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `locsample_draws_total{engine="csp"} 4`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+	}
+
+	remote := []locsample.Option{
+		locsample.WithShards(2),
+		locsample.WithRemoteWorkers("127.0.0.1:1"),
+		locsample.WithRetryPolicy(locsample.RetryPolicy{Attempts: 1, DialTimeout: 200 * time.Millisecond}),
+	}
+	if _, _, err := locsample.SampleCSP(g, c, init, 9, 5, false, remote...); err == nil {
+		t.Fatal("SampleCSP with an unreachable remote fleet returned a sample")
+	}
+	if _, err := locsample.SampleCSPN(g, c, init, 9, 5, 2, 0, remote...); err == nil {
+		t.Fatal("SampleCSPN with an unreachable remote fleet returned samples")
 	}
 }

@@ -34,7 +34,7 @@
 // The round barrier has two implementations. Below TreeBarrierMinShards
 // the workers pairwise exchange boundary frames over the transport
 // (all-local engines get the cap-2 double-buffered channel transport —
-// deadlock-free by construction; see Engine.tr). At high all-local shard
+// deadlock-free by construction; see lockstep.tr). At high all-local shard
 // counts that costs every worker one rendezvous per neighbor per
 // round, so from TreeBarrierMinShards up the engine switches to a publish
 // model: each worker fills its double-buffered outgoing boundary buffers,
@@ -44,12 +44,15 @@
 // reads race-free, and the double buffering lets a worker run one round
 // ahead without overwriting a buffer a slow neighbor is still reading —
 // the same argument as the channel scheme's capacity-2 invariant.
+//
+// Everything above the round kernels — the shard run state, the fabric,
+// and the Run loop — is written once (lockstep.go) and shared by Engine
+// (MRFs) and CSPEngine (weighted local CSPs); each family plugs in only
+// its shard round kernels, once per round.
 package cluster
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"locsample/internal/chains"
 	"locsample/internal/mrf"
@@ -58,174 +61,25 @@ import (
 	"locsample/internal/transport"
 )
 
-// Stats reports one sharded draw's runtime profile.
-type Stats struct {
-	// Shards is the worker count the draw ran with.
-	Shards int `json:"shards"`
-	// Rounds is the number of lockstep rounds executed.
-	Rounds int `json:"rounds"`
-	// BoundaryMessages counts boundary-state publishes — channel sends
-	// below TreeBarrierMinShards, publish-buffer fills at or above it
-	// (one per neighboring shard pair, per direction, per round either
-	// way).
-	BoundaryMessages int64 `json:"boundaryMessages"`
-	// BoundaryValues counts vertex states exchanged across shard
-	// boundaries over the whole draw.
-	BoundaryValues int64 `json:"boundaryValues"`
-	// BarrierWaitNS is the total time workers spent blocked at the
-	// round barrier (receiving halo states), summed over workers.
-	BarrierWaitNS int64 `json:"barrierWaitNs"`
-	// WireFrames and WireBytes count boundary frames and bytes that
-	// crossed a process boundary (cross-process draws only; each frame
-	// is counted once, at its sender).
-	WireFrames int64 `json:"wireFrames,omitempty"`
-	WireBytes  int64 `json:"wireBytes,omitempty"`
-}
-
-// Add accumulates other into s (Shards and Rounds adopt other's values:
-// they are per-draw constants, not sums).
-func (s *Stats) Add(other Stats) {
-	s.Shards = other.Shards
-	s.Rounds = other.Rounds
-	s.BoundaryMessages += other.BoundaryMessages
-	s.BoundaryValues += other.BoundaryValues
-	s.BarrierWaitNS += other.BarrierWaitNS
-	s.WireFrames += other.WireFrames
-	s.WireBytes += other.WireBytes
-}
-
-// worker is one shard's mutable run state. Buffers are allocated once in
-// New and reused across rounds and runs, so the steady-state loop
-// allocates nothing.
-type worker struct {
-	sh *partition.Shard
-
-	x    []int     // local vertex states (owned band + halo band)
-	prop []int     // LocalMetropolis proposals, all local vertices
-	beta []float64 // LubyGlauber Luby-step priorities, all local vertices
-	pass []bool    // LocalMetropolis edge filter outcomes, per shard edge
-	marg []float64 // conditional-marginal scratch, length q
-
-	// sendBuf[j] holds two alternating outgoing buffers per neighbor j.
-	// Round r sends buffer r&1; by the time round r+2 overwrites it, the
-	// receiver has provably finished copying it (its round-r+1 message to
-	// us happens-after its round-r receive).
-	sendBuf [][2][]int
-
-	msgs, vals, waitNS int64
-}
+// mrfWorker is one hosted MRF shard's run state.
+type mrfWorker = worker[*partition.Shard]
 
 // Engine executes sharded draws over a fixed (model, plan, algorithm)
 // triple. An Engine is reusable across sequential Run calls but is NOT
 // safe for concurrent Runs; callers that serve concurrent draws keep a
 // pool of engines (the batch Sampler does).
 type Engine struct {
+	lockstep[*partition.Shard]
+
 	m         *mrf.MRF
 	plan      *partition.Plan
-	alg       chains.Algorithm
 	dropRule3 bool
-	coloring  bool
-
-	// ws[s] is non-nil exactly for the shards this engine hosts; local
-	// lists them in ascending order. An engine built by New hosts every
-	// shard; NewWithTransport engines host the subset a worker process
-	// was assigned.
-	ws    []*worker
-	local []int
-	// tr carries the boundary exchange. New uses the in-process channel
-	// transport (capacity-2 double-buffered links: a sender can never
-	// block, because at most the previous and current round's frames are
-	// outstanding — a worker cannot run two rounds ahead of a neighbor
-	// it must hear from every round — so the lockstep schedule is
-	// deadlock-free by construction). NewWithTransport plugs in any
-	// fabric: a TCP mesh for cross-process draws, a fault-injecting
-	// wrapper in tests. Nil when the tree barrier is active.
-	tr transport.Transport
-	// bar replaces the pairwise transport rendezvous as the round barrier
-	// at K >= TreeBarrierMinShards when every shard is local; halo states
-	// are then read straight from the neighbors' publish buffers after
-	// the barrier.
-	bar *treeBarrier
-
-	// obs, when non-nil, receives one RoundDone per shard per round with
-	// that round's compute/barrier split and accepted-update count. Set
-	// via SetObserver before Run; the nil check is the only cost when
-	// unset. Implementations must be safe for concurrent calls from all
-	// shard goroutines and must not allocate (obs.RoundRecorder and
-	// obs.RoundMetrics both qualify).
-	obs chains.RoundObserver
-}
-
-// SetObserver installs (or, with nil, removes) the engine's per-round
-// observer. Not safe to call while a Run is in flight.
-func (e *Engine) SetObserver(o chains.RoundObserver) { e.obs = o }
-
-// TreeBarrierMinShards is the shard count from which the engine swaps the
-// pairwise channel exchange for the publish-buffer + tree-reduce barrier:
-// below it the per-neighbor rendezvous count is tiny and the channel scheme
-// wins on simplicity; at and above it the O(log k) barrier depth beats the
-// O(deg) channel waits per worker.
-const TreeBarrierMinShards = 8
-
-// treeBarrier is a reusable k-party barrier over a binary arrival tree:
-// worker i's children are 2i+1 and 2i+2. Arrivals reduce up the tree, the
-// root releases down it, so one pass costs O(log k) rendezvous depth. Each
-// channel sees exactly one send and one receive per round, strictly
-// alternating (a child cannot arrive for round r+1 before its round-r
-// release, which its parent sends only after consuming the round-r
-// arrival), so the same barrier value is reusable every round and across
-// Runs. The arrival chain up plus release chain down gives every worker's
-// pre-barrier writes a happens-before edge to every other worker's
-// post-barrier reads — the memory-safety backbone of the publish scheme.
-type treeBarrier struct {
-	arrive  []chan struct{}
-	release []chan struct{}
-}
-
-func newTreeBarrier(k int) *treeBarrier {
-	b := &treeBarrier{
-		arrive:  make([]chan struct{}, k),
-		release: make([]chan struct{}, k),
-	}
-	for i := 0; i < k; i++ {
-		b.arrive[i] = make(chan struct{}, 1)
-		b.release[i] = make(chan struct{}, 1)
-	}
-	return b
-}
-
-// wait blocks worker i until all k workers have arrived.
-func (b *treeBarrier) wait(i int) {
-	k := len(b.arrive)
-	if c := 2*i + 1; c < k {
-		<-b.arrive[c]
-	}
-	if c := 2*i + 2; c < k {
-		<-b.arrive[c]
-	}
-	if i > 0 {
-		b.arrive[i] <- struct{}{}
-		<-b.release[i]
-	}
-	if c := 2*i + 1; c < k {
-		b.release[c] <- struct{}{}
-	}
-	if c := 2*i + 2; c < k {
-		b.release[c] <- struct{}{}
-	}
 }
 
 // New compiles an engine hosting every shard of plan. Only LubyGlauber
 // and LocalMetropolis are shardable.
 func New(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3 bool) (*Engine, error) {
-	local := make([]int, plan.K)
-	for s := range local {
-		local[s] = s
-	}
-	var tr transport.Transport
-	if plan.K < TreeBarrierMinShards {
-		tr = transport.NewChan(plan.NeighborLists(), 0)
-	}
+	local, tr := hostAll(plan.K, plan.NeighborLists)
 	return newEngine(m, plan, alg, dropRule3, local, tr)
 }
 
@@ -235,21 +89,8 @@ func New(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3 bool)
 // fault-injecting) fabric. The tree-barrier fast path never applies:
 // remote neighbors are only reachable through the transport.
 func NewWithTransport(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3 bool, local []int, tr transport.Transport) (*Engine, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("cluster: NewWithTransport needs a transport")
-	}
-	if len(local) == 0 {
-		return nil, fmt.Errorf("cluster: NewWithTransport needs at least one local shard")
-	}
-	seen := make(map[int]bool, len(local))
-	for _, s := range local {
-		if s < 0 || s >= plan.K {
-			return nil, fmt.Errorf("cluster: local shard %d out of range (plan has %d)", s, plan.K)
-		}
-		if seen[s] {
-			return nil, fmt.Errorf("cluster: local shard %d listed twice", s)
-		}
-		seen[s] = true
+	if err := checkHosted("NewWithTransport", plan.K, local, tr); err != nil {
+		return nil, err
 	}
 	return newEngine(m, plan, alg, dropRule3, local, tr)
 }
@@ -261,184 +102,24 @@ func newEngine(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3
 	if m.G.N() != plan.N {
 		return nil, fmt.Errorf("cluster: plan partitions %d vertices, model has %d", plan.N, m.G.N())
 	}
-	e := &Engine{
-		m:         m,
-		plan:      plan,
-		alg:       alg,
-		dropRule3: dropRule3,
-		coloring:  alg == chains.LocalMetropolis && m.IsColoringModel(),
-		ws:        make([]*worker, plan.K),
-		local:     local,
-		tr:        tr,
-	}
-	if tr == nil {
-		e.bar = newTreeBarrier(plan.K)
-	}
-	for _, s := range local {
+	e := &Engine{m: m, plan: plan, dropRule3: dropRule3}
+	e.lockstep = newLockstep(plan.K, plan.N, local, tr, alg, m.Q, func(s int) (*partition.Shard, shardView) {
 		sh := plan.Shards[s]
-		w := &worker{
-			sh:      sh,
-			x:       make([]int, sh.NLocal()),
-			marg:    make([]float64, m.Q),
-			sendBuf: make([][2][]int, plan.K),
-		}
-		switch alg {
-		case chains.LubyGlauber:
-			w.beta = make([]float64, sh.NLocal())
-		case chains.LocalMetropolis:
-			w.prop = make([]int, sh.NLocal())
-			w.pass = make([]bool, len(sh.Edges))
-		}
-		for _, j := range sh.Neighbors {
-			w.sendBuf[j] = [2][]int{
-				make([]int, len(sh.SendTo[j])),
-				make([]int, len(sh.SendTo[j])),
-			}
-		}
-		e.ws[s] = w
+		return sh, shardView{sh.Global, sh.NOwned, sh.Neighbors, sh.SendTo, sh.RecvFrom, len(sh.Edges)}
+	})
+	switch {
+	case alg == chains.LubyGlauber:
+		e.round = e.lubyRound
+	case m.IsColoringModel():
+		e.round = e.coloringRound
+	default:
+		e.round = e.metropolisRound
 	}
 	return e, nil
 }
 
 // Plan returns the partition the engine runs on.
 func (e *Engine) Plan() *partition.Plan { return e.plan }
-
-// Run advances one chain for the given number of rounds from init (read
-// only) under the master seed, writing its hosted shards' owned states
-// into out (length n; an all-local engine fills all of it). The
-// trajectory is bit-identical to
-// chains.NewSampler(m, init, seed, alg, opts).Run(rounds).
-//
-// A non-nil error means the draw did not complete: a shard worker hit a
-// transport failure (or a sibling did, and the transport was closed to
-// unblock everyone). The engine is poisoned afterwards — its transport
-// is closed — so callers must discard it rather than Run again.
-func (e *Engine) Run(init []int, seed uint64, rounds int, out []int) (Stats, error) {
-	if len(init) != e.plan.N || len(out) != e.plan.N {
-		panic("cluster: init/out length does not match the partitioned graph")
-	}
-	for _, s := range e.local {
-		w := e.ws[s]
-		for l, gv := range w.sh.Global {
-			w.x[l] = init[gv]
-		}
-		w.msgs, w.vals, w.waitNS = 0, 0, 0
-	}
-	var wg sync.WaitGroup
-	var once sync.Once
-	var firstErr error
-	for _, s := range e.local {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			if err := e.runShard(s, seed, rounds, out); err != nil {
-				once.Do(func() {
-					firstErr = fmt.Errorf("cluster: shard %d: %w", s, err)
-					// Poison the fabric so every sibling blocked in a
-					// send or receive fails out instead of hanging.
-					e.tr.Close()
-				})
-			}
-		}(s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return Stats{}, firstErr
-	}
-	st := Stats{Shards: e.plan.K, Rounds: rounds}
-	for _, s := range e.local {
-		w := e.ws[s]
-		st.BoundaryMessages += w.msgs
-		st.BoundaryValues += w.vals
-		st.BarrierWaitNS += w.waitNS
-	}
-	return st, nil
-}
-
-// Close releases the engine's transport (and with it any blocked shard
-// workers). All-local tree-barrier engines have none; Close is then a
-// no-op.
-func (e *Engine) Close() error {
-	if e.tr != nil {
-		return e.tr.Close()
-	}
-	return nil
-}
-
-// runShard is one worker's lockstep loop: compute, publish boundary states,
-// pass the round barrier, read halo states, repeat; then publish owned
-// states into out. On the transport path the publish/barrier/read is the
-// pairwise frame exchange; on the tree-barrier path the boundary buffers
-// are filled in place, one tree-reduce barrier synchronizes the round, and
-// halo values are copied straight out of the neighbors' publish buffers.
-func (e *Engine) runShard(s int, seed uint64, rounds int, out []int) error {
-	w := e.ws[s]
-	sh := w.sh
-	obs := e.obs
-	for r := 0; r < rounds; r++ {
-		var roundStart time.Time
-		var waitBefore int64
-		if obs != nil {
-			roundStart = time.Now()
-			waitBefore = w.waitNS
-		}
-		var flips int
-		switch {
-		case e.alg == chains.LubyGlauber:
-			flips = e.lubyRound(w, seed, r)
-		case e.coloring:
-			flips = e.coloringRound(w, seed, r)
-		default:
-			flips = e.metropolisRound(w, seed, r)
-		}
-		for _, j := range sh.Neighbors {
-			buf := w.sendBuf[j][r&1]
-			for t, l := range sh.SendTo[j] {
-				buf[t] = w.x[l]
-			}
-			if e.bar == nil {
-				if err := e.tr.Send(s, j, r, buf); err != nil {
-					return fmt.Errorf("round %d: send to shard %d: %w", r, j, err)
-				}
-			}
-			w.msgs++
-			w.vals += int64(len(buf))
-		}
-		if e.bar != nil {
-			t0 := time.Now()
-			e.bar.wait(s)
-			w.waitNS += time.Since(t0).Nanoseconds()
-			for _, j := range sh.Neighbors {
-				msg := e.ws[j].sendBuf[s][r&1]
-				for t, l := range sh.RecvFrom[j] {
-					w.x[l] = msg[t]
-				}
-			}
-		} else {
-			for _, j := range sh.Neighbors {
-				t0 := time.Now()
-				msg, err := e.tr.Recv(j, s, r, len(sh.RecvFrom[j]))
-				w.waitNS += time.Since(t0).Nanoseconds()
-				if err != nil {
-					return fmt.Errorf("round %d: recv from shard %d: %w", r, j, err)
-				}
-				for t, l := range sh.RecvFrom[j] {
-					w.x[l] = msg[t]
-				}
-			}
-		}
-		if obs != nil {
-			// compute = round wall time minus barrier wait, so the two
-			// spans tile the round exactly.
-			barrierNS := w.waitNS - waitBefore
-			obs.RoundDone(s, r, time.Since(roundStart).Nanoseconds()-barrierNS, barrierNS, flips)
-		}
-	}
-	for l := 0; l < sh.NOwned; l++ {
-		out[sh.Global[l]] = w.x[l]
-	}
-	return nil
-}
 
 // lubyRound mirrors chains.LubyGlauberRound on one shard. Luby-step
 // priorities are PRF values, so halo priorities are recomputed locally
@@ -450,7 +131,7 @@ func (e *Engine) runShard(s int, seed uint64, rounds int, out []int) error {
 // centralized kernel (keyed by GLOBAL vertex IDs), and membership goes
 // through the shared chains.BetaLocalMax, so the two runtimes cannot drift.
 // It returns the number of owned vertices resampled this round.
-func (e *Engine) lubyRound(w *worker, seed uint64, round int) int {
+func (e *Engine) lubyRound(w *mrfWorker, seed uint64, round int) int {
 	sh := w.sh
 	kb := rng.Key(seed, chains.TagBeta, uint64(round))
 	for l, gv := range sh.Global {
@@ -475,7 +156,7 @@ func (e *Engine) lubyRound(w *worker, seed uint64, round int) int {
 // same per-slot multiplication order (the shard CSR preserves the global
 // slot order), same normalization — so the resulting float64s, and hence
 // the CategoricalU draw, are bit-identical to the centralized chain's.
-func (e *Engine) marginalInto(w *worker, v int) bool {
+func (e *Engine) marginalInto(w *mrfWorker, v int) bool {
 	m := e.m
 	sh := w.sh
 	b := m.VertexB[sh.Global[v]]
@@ -514,7 +195,7 @@ func (e *Engine) marginalInto(w *worker, v int) bool {
 // mrf.ProposeU cumulative-table kernel and coins through the same partial
 // round keys as the centralized chain.
 // It returns the number of owned vertices that accepted their proposal.
-func (e *Engine) metropolisRound(w *worker, seed uint64, round int) int {
+func (e *Engine) metropolisRound(w *mrfWorker, seed uint64, round int) int {
 	m := e.m
 	sh := w.sh
 	ku := rng.Key(seed, chains.TagUpdate, uint64(round))
@@ -532,7 +213,7 @@ func (e *Engine) metropolisRound(w *worker, seed uint64, round int) int {
 
 // coloringRound mirrors chains.ColoringLocalMetropolisRound (the §4.2
 // three-rule fast path) on one shard.
-func (e *Engine) coloringRound(w *worker, seed uint64, round int) int {
+func (e *Engine) coloringRound(w *mrfWorker, seed uint64, round int) int {
 	sh := w.sh
 	qf := float64(e.m.Q)
 	ku := rng.Key(seed, chains.TagUpdate, uint64(round))
@@ -554,7 +235,7 @@ func (e *Engine) coloringRound(w *worker, seed uint64, round int) int {
 // accept applies the LocalMetropolis acceptance rule to the owned band:
 // vertex v adopts its proposal iff every incident edge passed. Returns
 // the number of acceptances.
-func (e *Engine) accept(w *worker) int {
+func (e *Engine) accept(w *mrfWorker) int {
 	sh := w.sh
 	flips := 0
 	for v := 0; v < sh.NOwned; v++ {

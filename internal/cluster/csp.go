@@ -19,13 +19,12 @@
 //
 // The boundary fabric (transport.Transport below TreeBarrierMinShards or
 // when hosting a subset of the shards, publish buffers + tree-reduce for
-// all-local high shard counts) is shared with the MRF engine.
+// all-local high shard counts) and the Run loop are the shared lockstep
+// runtime; this file holds only the CSP shard round kernels.
 package cluster
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"locsample/internal/chains"
 	"locsample/internal/csp"
@@ -34,82 +33,32 @@ import (
 	"locsample/internal/transport"
 )
 
-// cspWorker is one shard's mutable run state. Buffers are allocated once in
-// NewCSP and reused across rounds and runs, so the steady-state loop
-// allocates nothing.
-type cspWorker struct {
-	sh *partition.CSPShard
-
-	x    []int     // local vertex states (owned band + halo band)
-	prop []int     // LocalMetropolis proposals, all local vertices
-	beta []float64 // LubyGlauber Luby-step priorities, all local vertices
-	pass []bool    // LocalMetropolis check outcomes, per local constraint
-	marg []float64 // conditional-marginal scratch, length q
-	eval []int     // closure-fallback scratch, 3·maxArity ints
-
-	// sendBuf[j] holds two alternating outgoing buffers per neighbor j,
-	// with the same capacity-2 safety argument as the MRF worker's.
-	sendBuf [][2][]int
-
-	msgs, vals, waitNS int64
-}
+// cspWorker is one hosted CSP shard's run state.
+type cspWorker = worker[*partition.CSPShard]
 
 // CSPEngine executes sharded draws of one hypergraph chain over a fixed
 // (CSP, plan, algorithm) triple. Like Engine it is reusable across
 // sequential Run calls but not safe for concurrent Runs; callers pool
 // engines.
 type CSPEngine struct {
+	lockstep[*partition.CSPShard]
+
 	c    *csp.CSP
 	plan *partition.CSPPlan
-	alg  chains.Algorithm
-
-	ws    []*cspWorker
-	local []int
-	tr    transport.Transport
-	bar   *treeBarrier
-
-	// obs mirrors Engine.obs: one RoundDone per shard per round, nil
-	// check only when unset, implementations must be concurrency-safe
-	// and allocation-free.
-	obs chains.RoundObserver
 }
-
-// SetObserver installs (or, with nil, removes) the engine's per-round
-// observer. Not safe to call while a Run is in flight.
-func (e *CSPEngine) SetObserver(o chains.RoundObserver) { e.obs = o }
 
 // NewCSP compiles a sharded engine hosting every shard of plan. Only the
 // two hypergraph chains shard.
 func NewCSP(c *csp.CSP, plan *partition.CSPPlan, alg chains.Algorithm) (*CSPEngine, error) {
-	local := make([]int, plan.K)
-	for s := range local {
-		local[s] = s
-	}
-	var tr transport.Transport
-	if plan.K < TreeBarrierMinShards {
-		tr = transport.NewChan(plan.NeighborLists(), 0)
-	}
+	local, tr := hostAll(plan.K, plan.NeighborLists)
 	return newCSPEngine(c, plan, alg, local, tr)
 }
 
 // NewCSPWithTransport compiles an engine hosting only the given shards
 // of plan over tr — the CSP counterpart of NewWithTransport.
 func NewCSPWithTransport(c *csp.CSP, plan *partition.CSPPlan, alg chains.Algorithm, local []int, tr transport.Transport) (*CSPEngine, error) {
-	if tr == nil {
-		return nil, fmt.Errorf("cluster: NewCSPWithTransport needs a transport")
-	}
-	if len(local) == 0 {
-		return nil, fmt.Errorf("cluster: NewCSPWithTransport needs at least one local shard")
-	}
-	seen := make(map[int]bool, len(local))
-	for _, s := range local {
-		if s < 0 || s >= plan.K {
-			return nil, fmt.Errorf("cluster: local shard %d out of range (plan has %d)", s, plan.K)
-		}
-		if seen[s] {
-			return nil, fmt.Errorf("cluster: local shard %d listed twice", s)
-		}
-		seen[s] = true
+	if err := checkHosted("NewCSPWithTransport", plan.K, local, tr); err != nil {
+		return nil, err
 	}
 	return newCSPEngine(c, plan, alg, local, tr)
 }
@@ -121,163 +70,24 @@ func newCSPEngine(c *csp.CSP, plan *partition.CSPPlan, alg chains.Algorithm, loc
 	if c.N != plan.N {
 		return nil, fmt.Errorf("cluster: plan partitions %d vertices, CSP has %d", plan.N, c.N)
 	}
-	e := &CSPEngine{c: c, plan: plan, alg: alg, ws: make([]*cspWorker, plan.K), local: local, tr: tr}
-	if tr == nil {
-		e.bar = newTreeBarrier(plan.K)
-	}
-	for _, s := range local {
+	e := &CSPEngine{c: c, plan: plan}
+	e.lockstep = newLockstep(plan.K, plan.N, local, tr, alg, c.Q, func(s int) (*partition.CSPShard, shardView) {
 		sh := plan.Shards[s]
-		w := &cspWorker{
-			sh:      sh,
-			x:       make([]int, sh.NLocal()),
-			marg:    make([]float64, c.Q),
-			eval:    make([]int, 3*c.MaxArity()),
-			sendBuf: make([][2][]int, plan.K),
-		}
-		switch alg {
-		case chains.LubyGlauber:
-			w.beta = make([]float64, sh.NLocal())
-		case chains.LocalMetropolis:
-			w.prop = make([]int, sh.NLocal())
-			w.pass = make([]bool, len(sh.ConID))
-		}
-		for _, j := range sh.Neighbors {
-			w.sendBuf[j] = [2][]int{
-				make([]int, len(sh.SendTo[j])),
-				make([]int, len(sh.SendTo[j])),
-			}
-		}
-		e.ws[s] = w
+		return sh, shardView{sh.Global, sh.NOwned, sh.Neighbors, sh.SendTo, sh.RecvFrom, len(sh.ConID)}
+	})
+	for _, s := range local {
+		e.ws[s].eval = make([]int, 3*c.MaxArity())
+	}
+	if alg == chains.LubyGlauber {
+		e.round = e.lubyRound
+	} else {
+		e.round = e.metropolisRound
 	}
 	return e, nil
 }
 
 // Plan returns the partition the engine runs on.
 func (e *CSPEngine) Plan() *partition.CSPPlan { return e.plan }
-
-// Run advances one chain for the given number of rounds from init (read
-// only) under the master seed, writing its hosted shards' owned states
-// into out (length n; an all-local engine fills all of it). The
-// trajectory is bit-identical to `rounds` calls of the centralized csp
-// round kernel at the same seed. A non-nil error poisons the engine
-// exactly as for Engine.Run; discard it.
-func (e *CSPEngine) Run(init []int, seed uint64, rounds int, out []int) (Stats, error) {
-	if len(init) != e.plan.N || len(out) != e.plan.N {
-		panic("cluster: init/out length does not match the partitioned CSP")
-	}
-	for _, s := range e.local {
-		w := e.ws[s]
-		for l, gv := range w.sh.Global {
-			w.x[l] = init[gv]
-		}
-		w.msgs, w.vals, w.waitNS = 0, 0, 0
-	}
-	var wg sync.WaitGroup
-	var once sync.Once
-	var firstErr error
-	for _, s := range e.local {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			if err := e.runShard(s, seed, rounds, out); err != nil {
-				once.Do(func() {
-					firstErr = fmt.Errorf("cluster: shard %d: %w", s, err)
-					e.tr.Close()
-				})
-			}
-		}(s)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return Stats{}, firstErr
-	}
-	st := Stats{Shards: e.plan.K, Rounds: rounds}
-	for _, s := range e.local {
-		w := e.ws[s]
-		st.BoundaryMessages += w.msgs
-		st.BoundaryValues += w.vals
-		st.BarrierWaitNS += w.waitNS
-	}
-	return st, nil
-}
-
-// Close releases the engine's transport; a no-op on tree-barrier
-// engines.
-func (e *CSPEngine) Close() error {
-	if e.tr != nil {
-		return e.tr.Close()
-	}
-	return nil
-}
-
-// runShard is one worker's lockstep loop — structurally identical to the
-// MRF engine's: compute, publish boundary states, pass the round barrier,
-// read halo states, repeat; then publish owned states into out.
-func (e *CSPEngine) runShard(s int, seed uint64, rounds int, out []int) error {
-	w := e.ws[s]
-	sh := w.sh
-	obs := e.obs
-	for r := 0; r < rounds; r++ {
-		var roundStart time.Time
-		var waitBefore int64
-		if obs != nil {
-			roundStart = time.Now()
-			waitBefore = w.waitNS
-		}
-		var flips int
-		if e.alg == chains.LubyGlauber {
-			flips = e.lubyRound(w, seed, r)
-		} else {
-			flips = e.metropolisRound(w, seed, r)
-		}
-		for _, j := range sh.Neighbors {
-			buf := w.sendBuf[j][r&1]
-			for t, l := range sh.SendTo[j] {
-				buf[t] = w.x[l]
-			}
-			if e.bar == nil {
-				if err := e.tr.Send(s, j, r, buf); err != nil {
-					return fmt.Errorf("round %d: send to shard %d: %w", r, j, err)
-				}
-			}
-			w.msgs++
-			w.vals += int64(len(buf))
-		}
-		if e.bar != nil {
-			t0 := time.Now()
-			e.bar.wait(s)
-			w.waitNS += time.Since(t0).Nanoseconds()
-			for _, j := range sh.Neighbors {
-				msg := e.ws[j].sendBuf[s][r&1]
-				for t, l := range sh.RecvFrom[j] {
-					w.x[l] = msg[t]
-				}
-			}
-		} else {
-			for _, j := range sh.Neighbors {
-				t0 := time.Now()
-				msg, err := e.tr.Recv(j, s, r, len(sh.RecvFrom[j]))
-				w.waitNS += time.Since(t0).Nanoseconds()
-				if err != nil {
-					return fmt.Errorf("round %d: recv from shard %d: %w", r, j, err)
-				}
-				for t, l := range sh.RecvFrom[j] {
-					w.x[l] = msg[t]
-				}
-			}
-		}
-		if obs != nil {
-			// compute = round wall time minus barrier wait, so the two
-			// spans tile the round exactly.
-			barrierNS := w.waitNS - waitBefore
-			obs.RoundDone(s, r, time.Since(roundStart).Nanoseconds()-barrierNS, barrierNS, flips)
-		}
-	}
-	for l := 0; l < sh.NOwned; l++ {
-		out[sh.Global[l]] = w.x[l]
-	}
-	return nil
-}
 
 // lubyRound mirrors csp.LubyGlauberRoundPRF on one shard. Luby-step
 // priorities are PRF values, so halo priorities are recomputed locally

@@ -19,6 +19,8 @@ package csp
 
 import (
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"locsample/internal/rng"
 )
@@ -232,6 +234,83 @@ func LocalMetropolisRoundParallel(c *CSP, x []int, seed uint64, round int, sc *S
 	parallelFor(n, workers, func(_, lo, hi int) {
 		applyPassAccept(c, x, sc.prop, sc.pass, lo, hi)
 	})
+}
+
+// Chain is one reusable PRF-driven hypergraph LubyGlauber chain — the CSP
+// counterpart of chains.Sampler. Reset rewinds it to a fresh initial
+// configuration and seed without reallocating state or scratch, so a
+// pooled Chain draws any number of chains with zero steady-state
+// allocations. With parallel > 1 each round's phases fan over that many
+// goroutines (LubyGlauberRoundParallel, bit-identical to the sequential
+// kernel).
+type Chain struct {
+	C *CSP
+	X []int
+
+	// Obs and Abort follow the chains.Sampler contract: Obs (if non-nil)
+	// gets one RoundDone per Step (shard 0, flips uncounted), and Abort is
+	// polled between steps by Run — a chain stopped that way is mid-run
+	// and must be Reset before reuse. Obs has chains.RoundObserver's
+	// method set, spelled out because csp cannot import chains (see
+	// betaLocalMax).
+	Obs interface {
+		RoundDone(shard, round int, computeNS, barrierNS int64, flips int)
+	}
+	Abort *atomic.Bool
+
+	parallel int
+	seed     uint64
+	round    int
+	sc       *Scratch
+}
+
+// NewChain returns a chain over c starting from init (copied) at seed.
+func NewChain(c *CSP, init []int, seed uint64, parallel int) *Chain {
+	ch := &Chain{C: c, X: make([]int, c.N), parallel: parallel, sc: NewScratch(c)}
+	ch.Reset(init, seed)
+	return ch
+}
+
+// Reset rewinds the chain to round 0 with a new initial configuration
+// (copied) and seed.
+func (ch *Chain) Reset(init []int, seed uint64) {
+	if len(init) != len(ch.X) {
+		panic("csp: initial configuration has wrong length")
+	}
+	copy(ch.X, init)
+	ch.seed = seed
+	ch.round = 0
+}
+
+// Step advances the chain by one round, reporting it to Obs.
+func (ch *Chain) Step() {
+	if ch.Obs != nil {
+		t0 := time.Now()
+		round := ch.round
+		ch.step()
+		ch.Obs.RoundDone(0, round, time.Since(t0).Nanoseconds(), 0, -1)
+		return
+	}
+	ch.step()
+}
+
+func (ch *Chain) step() {
+	if ch.parallel > 1 {
+		LubyGlauberRoundParallel(ch.C, ch.X, ch.seed, ch.round, ch.sc, ch.parallel)
+	} else {
+		LubyGlauberRoundPRF(ch.C, ch.X, ch.seed, ch.round, ch.sc)
+	}
+	ch.round++
+}
+
+// Run advances the chain by t rounds, polling Abort between rounds.
+func (ch *Chain) Run(t int) {
+	for i := 0; i < t; i++ {
+		if ch.Abort != nil && ch.Abort.Load() {
+			return
+		}
+		ch.Step()
+	}
 }
 
 // --- Source-driven chains (sequential baselines) -----------------------

@@ -23,6 +23,8 @@ package csp
 import (
 	"fmt"
 	"math/bits"
+	"sync/atomic"
+	"time"
 
 	"locsample/internal/rng"
 )
@@ -32,11 +34,17 @@ const MaxBatchWidth = 64
 
 // SoABlock advances up to MaxBatchWidth LubyGlauber chains of one CSP in
 // lockstep. All buffers are allocated at construction; steady-state
-// rounds allocate nothing (alloc-gated). The caller drives rounds via
-// Step — abort polling and round observation live in the engine layer,
-// as they do for the per-chain runChain.
+// rounds allocate nothing (alloc-gated).
 type SoABlock struct {
 	C *CSP
+
+	// Obs and Abort follow the Chain contract: Obs (if non-nil) gets one
+	// RoundDone per block round — a block round advances all lanes at
+	// once — and Abort is polled between rounds by Run.
+	Obs interface {
+		RoundDone(shard, round int, computeNS, barrierNS int64, flips int)
+	}
+	Abort *atomic.Bool
 
 	maxW  int
 	w     int
@@ -117,12 +125,35 @@ func (b *SoABlock) Scatter(dst [][]int) {
 	}
 }
 
-// Step advances all lanes by one LubyGlauber round: one β fill, one
+// Step advances all lanes by one round, reporting to Obs like
+// Chain.Step (shard 0, flips uncounted).
+func (b *SoABlock) Step() {
+	if b.Obs != nil {
+		t0 := time.Now()
+		round := b.round
+		b.step()
+		b.Obs.RoundDone(0, round, time.Since(t0).Nanoseconds(), 0, -1)
+		return
+	}
+	b.step()
+}
+
+// Run advances all lanes by t rounds, polling Abort at round boundaries.
+func (b *SoABlock) Run(t int) {
+	for i := 0; i < t; i++ {
+		if b.Abort != nil && b.Abort.Load() {
+			return
+		}
+		b.Step()
+	}
+}
+
+// step is one LubyGlauber round over all lanes: one β fill, one
 // hypergraph-neighborhood walk deciding every lane's Luby membership per
 // variable, and lane-sequential heat-bath resampling of the winners (the
 // winners of each lane are strongly independent, so in-place lane
 // updates are exact).
-func (b *SoABlock) Step() {
+func (b *SoABlock) step() {
 	c, w := b.C, b.w
 	n := c.N
 	round := uint64(b.round)

@@ -26,7 +26,6 @@ package diag
 
 import (
 	"fmt"
-	"time"
 
 	"locsample/internal/chains"
 	"locsample/internal/csp"
@@ -122,43 +121,22 @@ func (c *mrfChains) StepAll() {
 
 func (c *mrfChains) StepPrimary() { c.ss[0].Step() }
 
-// cspChains couples k CSP states advanced by the hypergraph LubyGlauber
-// kernel. The CSP kernels do not self-observe (mirroring
-// cspapi.runChainObserved), so chain 0's rounds are timed here.
+// cspChains couples k csp.Chains constructed with one seed; as for
+// mrfChains, only cs[0] carries an observer.
 type cspChains struct {
-	c     *csp.CSP
-	seed  uint64
-	round int
-	xs    [][]int
-	scs   []*csp.Scratch
-	obs   chains.RoundObserver
+	cs []*csp.Chain
 }
 
-func (c *cspChains) K() int        { return len(c.xs) }
-func (c *cspChains) X(j int) []int { return c.xs[j] }
+func (c *cspChains) K() int        { return len(c.cs) }
+func (c *cspChains) X(j int) []int { return c.cs[j].X }
 
 func (c *cspChains) StepAll() {
-	c.stepChain0()
-	for j := 1; j < len(c.xs); j++ {
-		csp.LubyGlauberRoundPRF(c.c, c.xs[j], c.seed, c.round, c.scs[j])
+	for _, ch := range c.cs {
+		ch.Step()
 	}
-	c.round++
 }
 
-func (c *cspChains) StepPrimary() {
-	c.stepChain0()
-	c.round++
-}
-
-func (c *cspChains) stepChain0() {
-	if c.obs != nil {
-		t0 := time.Now()
-		csp.LubyGlauberRoundPRF(c.c, c.xs[0], c.seed, c.round, c.scs[0])
-		c.obs.RoundDone(0, c.round, time.Since(t0).Nanoseconds(), 0, -1)
-		return
-	}
-	csp.LubyGlauberRoundPRF(c.c, c.xs[0], c.seed, c.round, c.scs[0])
-}
+func (c *cspChains) StepPrimary() { c.cs[0].Step() }
 
 // Coupled advances a k-chain grand coupling and records its mixing series.
 // Construct with NewCoupledMRF or NewCoupledCSP, advance with StepRound /
@@ -257,23 +235,16 @@ func NewCoupledCSP(c *csp.CSP, init []int, seed uint64, o Options) (*Coupled, er
 	if !c.Feasible(init) {
 		return nil, fmt.Errorf("diag: initial configuration is infeasible")
 	}
-	cc := &cspChains{
-		c:    c,
-		seed: seed,
-		xs:   make([][]int, o.Chains),
-		scs:  make([]*csp.Scratch, o.Chains),
-	}
-	for j := range cc.xs {
-		cc.xs[j] = append([]int(nil), init...)
-		cc.scs[j] = csp.NewScratch(c)
-	}
+	cs := make([]*csp.Chain, o.Chains)
+	cs[0] = csp.NewChain(c, init, seed, 0)
 	for j := 1; j < o.Chains; j++ {
-		burnSeed := rng.PRF(seed, TagInit, uint64(j))
-		for r := 0; r < BurnInRounds; r++ {
-			csp.LubyGlauberRoundPRF(c, cc.xs[j], burnSeed, r, cc.scs[j])
-		}
+		// Burn in under a private seed, then rewind onto the shared one.
+		ch := csp.NewChain(c, init, rng.PRF(seed, TagInit, uint64(j)), 0)
+		ch.Run(BurnInRounds)
+		ch.Reset(ch.X, seed)
+		cs[j] = ch
 	}
-	d := newCoupled(cc, c.N, o)
+	d := newCoupled(&cspChains{cs: cs}, c.N, o)
 	d.attachObserver(o.Obs)
 	return d, nil
 }
@@ -416,7 +387,7 @@ func (d *Coupled) attachObserver(extra chains.RoundObserver) {
 	case *mrfChains:
 		cc.ss[0].Obs = o
 	case *cspChains:
-		cc.obs = o
+		cc.cs[0].Obs = o
 	}
 }
 

@@ -8,14 +8,17 @@ package locsample_test
 // self-healing claim: shard state is a pure function of (spec, plan,
 // seed), so nothing a dead worker held is needed to finish its work.
 //
-// Determinism of the scenario itself: the victim is SIGSTOPped before
-// the disrupted draw starts, so the draw is guaranteed to be in flight
-// (stalled on the victim's result) when the disruption lands — the
-// test never races the draw's completion.
+// Determinism of the scenario itself: the victim is SIGSTOPped — and
+// every one of its threads observed stopped — before the disrupted draw
+// starts, so the draw is guaranteed to be in flight (stalled on the
+// victim's result) when the disruption lands — the test never races the
+// draw's completion.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"os/exec"
 	"reflect"
 	"syscall"
@@ -143,6 +146,9 @@ func runChaos(t *testing.T, kind string, shards int, policy locsample.RetryPolic
 	// (registered earlier, so it runs after this) never has to wait it
 	// out.
 	t.Cleanup(func() { victim.Process.Kill() })
+	// Signal returns before the kernel has stopped the process; a draw
+	// started in that window can still be served by the victim.
+	waitStopped(t, victim.Process.Pid)
 
 	type result struct {
 		x   []int
@@ -179,6 +185,50 @@ func runChaos(t *testing.T, kind string, shards int, policy locsample.RetryPolic
 	if !reflect.DeepEqual(got, want) {
 		t.Fatal("post-recovery draw diverges from centralized reference")
 	}
+}
+
+// waitStopped blocks until every thread of process pid shows state T
+// (stopped) in /proc.
+func waitStopped(t *testing.T, pid int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		stopped, err := threadsStopped(pid)
+		if err != nil {
+			t.Fatalf("reading worker %d thread states: %v", pid, err)
+		}
+		if stopped {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("worker %d not stopped 10s after SIGSTOP", pid)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// threadsStopped reports whether every thread of process pid is in
+// state T. The state is the field after the parenthesized command name,
+// which may itself contain spaces or parentheses.
+func threadsStopped(pid int) (bool, error) {
+	tasks, err := os.ReadDir(fmt.Sprintf("/proc/%d/task", pid))
+	if err != nil {
+		return false, err
+	}
+	for _, task := range tasks {
+		stat, err := os.ReadFile(fmt.Sprintf("/proc/%d/task/%s/stat", pid, task.Name()))
+		if errors.Is(err, os.ErrNotExist) {
+			return false, nil // the thread exited since the listing; look again
+		}
+		if err != nil {
+			return false, err
+		}
+		i := bytes.LastIndexByte(stat, ')')
+		if i < 0 || i+2 >= len(stat) || stat[i+2] != 'T' {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
 // TestChaosWorkerKilledMidDraw SIGKILLs a worker process while a draw
