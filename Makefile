@@ -31,11 +31,17 @@ chaos:
 		-run 'TestChaos|TestDialRetry|TestDialControl|TestPingHalfOpenPeerTimesOut|TestReadControlHalfOpenPeerTimesOut|TestPingLiveWorkerLoopback|TestBreakerStateMachine|TestDegradedFallbackBitIdentical|TestCentralizedDrawsBypassBreaker|TestProbeWorkersDeadFleet|TestSampleContext' \
 		./internal/transport/ ./internal/service/ .
 
+# The keystone gate: every runtime — shards (local, transport, remote and
+# cross-process), vertex-parallel rounds, SoA lanes, traced, diagnosed and
+# served draws, MRF and CSP alike — must equal the centralized sequential
+# chain byte-for-byte, and the compiled round kernels must equal their
+# reference transcriptions. Tests join the gate by name: every test in
+# these packages whose name contains BitIdentical, MatchesReference,
+# MatchSequential, RoundsAuto or Determinism runs here, plus the
+# TestRegistryRemoteWorkers tests and the FuzzRuntimeEquivalence corpus.
 bit-identity:
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'TestShardedBitIdentical|TestWithShardsBitIdentical|TestServerShardedDrawBitIdentical|TestParallelRoundsMatchSequential|TestWithParallelRoundsBitIdentical|TestServerParallelDrawBitIdentical|TestTransportEngineBitIdentical|TestRemoteMRFBitIdentical|TestRegistryRemoteWorkers|TestCrossProcessShardedBitIdentical|TestSampleDiagnosedBitIdentical|TestRoundsAuto|TestSoARoundsMatchSequential|TestSampleNSoABitIdentical|FuzzRuntimeEquivalence' \
-		./internal/cluster/ ./internal/chains/ ./internal/service/ .
-	GOMAXPROCS=4 $(GO) test -count=1 -run 'MatchesReference|TestCSPShardedBitIdentical|TestCSPParallelRoundsMatchSequential|TestWithShardsCSPBitIdentical|TestWithParallelRoundsCSPBitIdentical|TestCSPSamplerBatchDeterminism|TestServerCSPShardedDrawBitIdentical|TestServerCSPParallelDrawBitIdentical|TestRemoteCSPBitIdentical|TestCrossProcessCSPBitIdentical|TestCSPSampleDiagnosedBitIdentical|TestCSPRoundsAuto|TestCSPSoARoundsMatchSequential|TestSampleCSPNSoABitIdentical' \
-		./internal/csp/ ./internal/cluster/ ./internal/service/ .
+	GOMAXPROCS=4 $(GO) test -count=1 -run 'BitIdentical|MatchesReference|MatchSequential|RoundsAuto|Determinism|RegistryRemoteWorkers|FuzzRuntimeEquivalence' \
+		./internal/csp/ ./internal/cluster/ ./internal/chains/ ./internal/service/ .
 
 # Perf trajectory: run the core benchmark suite and write machine-readable
 # results (ns/op, allocs/op, vertices/sec, shard/parallel speedups, the CSP

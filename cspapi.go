@@ -103,7 +103,7 @@ func newCSPSampler(g *Graph, c *CSPModel, init []int, cfg core.Config) (*CSPSamp
 					return nil, fmt.Errorf("locsample: remote draws ship the CSP as a spec: %w", err)
 				}
 			}
-			err = s.connect(plan.K, remoteJob{kind: "csp", spec: sp}, cspOwned(plan))
+			err = s.connect(&plan.Layout, remoteJob{kind: "csp", spec: sp})
 		} else {
 			err = s.startEngines(plan.K)
 		}

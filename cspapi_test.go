@@ -147,3 +147,27 @@ func TestSampleCSPHonorsSamplerOptions(t *testing.T) {
 		t.Fatal("SampleCSPN with an unreachable remote fleet returned samples")
 	}
 }
+
+// TestSampleHonorsSamplerOptions: the package-level Sample draws on a
+// compiled sampler, so every NewSampler option reaches it. WithMetrics
+// must record its draws, centralized and distributed alike. The remote
+// case lives in TestRemoteMRFBitIdentical (internal/service), whose
+// in-process worker fleet the shards can be placed on.
+func TestSampleHonorsSamplerOptions(t *testing.T) {
+	g := locsample.GridGraph(6, 6)
+	m := locsample.NewColoring(g, 3*g.MaxDeg())
+	reg := locsample.NewMetrics()
+	for _, extra := range [][]locsample.Option{nil, {locsample.Distributed()}} {
+		opts := append([]locsample.Option{locsample.WithRounds(9), locsample.WithSeed(5), locsample.WithMetrics(reg)}, extra...)
+		if _, err := locsample.Sample(m, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := `locsample_draws_total{engine="mrf"} 2`; !strings.Contains(buf.String(), want) {
+		t.Fatalf("exposition missing %q:\n%s", want, buf.String())
+	}
+}

@@ -155,9 +155,6 @@ func NewSampler(m *Model, opts ...Option) (*Sampler, error) {
 		return nil, err
 	}
 	if cfg.Shards > 1 {
-		if cfg.Distributed {
-			return nil, fmt.Errorf("locsample: Distributed and WithShards are mutually exclusive")
-		}
 		plan, err := partition.Build(m.G, cfg.Shards, cfg.ShardStrategy, cfg.Seed)
 		if err != nil {
 			return nil, err
@@ -174,8 +171,8 @@ func NewSampler(m *Model, opts ...Option) (*Sampler, error) {
 					return nil, fmt.Errorf("locsample: remote draws ship the model as a spec: %w", err)
 				}
 			}
-			err = s.connect(plan.K, remoteJob{kind: "mrf", spec: sp,
-				algorithm: cfg.Algorithm.String(), dropRule3: cfg.DropRule3}, mrfOwned(plan))
+			err = s.connect(&plan.Layout, remoteJob{kind: "mrf", spec: sp,
+				algorithm: cfg.Algorithm.String(), dropRule3: cfg.DropRule3})
 		} else {
 			err = s.startEngines(plan.K)
 		}

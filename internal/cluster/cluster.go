@@ -103,9 +103,9 @@ func newEngine(m *mrf.MRF, plan *partition.Plan, alg chains.Algorithm, dropRule3
 		return nil, fmt.Errorf("cluster: plan partitions %d vertices, model has %d", plan.N, m.G.N())
 	}
 	e := &Engine{m: m, plan: plan, dropRule3: dropRule3}
-	e.lockstep = newLockstep(plan.K, plan.N, local, tr, alg, m.Q, func(s int) (*partition.Shard, shardView) {
+	e.lockstep = newLockstep(plan.K, plan.N, local, tr, alg, m.Q, func(s int) (*partition.Shard, partition.View, int) {
 		sh := plan.Shards[s]
-		return sh, shardView{sh.Global, sh.NOwned, sh.Neighbors, sh.SendTo, sh.RecvFrom, len(sh.Edges)}
+		return sh, sh.View, len(sh.Edges)
 	})
 	switch {
 	case alg == chains.LubyGlauber:

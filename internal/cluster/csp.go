@@ -71,9 +71,9 @@ func newCSPEngine(c *csp.CSP, plan *partition.CSPPlan, alg chains.Algorithm, loc
 		return nil, fmt.Errorf("cluster: plan partitions %d vertices, CSP has %d", plan.N, c.N)
 	}
 	e := &CSPEngine{c: c, plan: plan}
-	e.lockstep = newLockstep(plan.K, plan.N, local, tr, alg, c.Q, func(s int) (*partition.CSPShard, shardView) {
+	e.lockstep = newLockstep(plan.K, plan.N, local, tr, alg, c.Q, func(s int) (*partition.CSPShard, partition.View, int) {
 		sh := plan.Shards[s]
-		return sh, shardView{sh.Global, sh.NOwned, sh.Neighbors, sh.SendTo, sh.RecvFrom, len(sh.ConID)}
+		return sh, sh.View, len(sh.ConID)
 	})
 	for _, s := range local {
 		e.ws[s].eval = make([]int, 3*c.MaxArity())

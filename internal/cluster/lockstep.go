@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"locsample/internal/chains"
+	"locsample/internal/partition"
 	"locsample/internal/transport"
 )
 
@@ -93,7 +94,10 @@ type lockstep[S any] struct {
 // steady-state loop allocates nothing.
 type worker[S any] struct {
 	sh S // the family's shard: its local adjacency or constraint slots
-	shardView
+	// View is the shard's local→global map (owned band first) and its
+	// boundary exchange maps, copied by value so the round loop reads
+	// them without chasing sh.
+	partition.View
 
 	x    []int     // local vertex states (owned band + halo band)
 	prop []int     // LocalMetropolis proposals, all local vertices
@@ -109,17 +113,6 @@ type worker[S any] struct {
 	sendBuf [][2][]int
 
 	msgs, vals, waitNS int64
-}
-
-// shardView is what the lockstep loop reads of a family shard: its
-// local→global vertex map (owned band first), its boundary exchange maps,
-// and the number of LocalMetropolis filter slots (edges or constraints).
-type shardView struct {
-	global           []int32
-	nOwned           int
-	neighbors        []int
-	sendTo, recvFrom [][]int32
-	filters          int
 }
 
 // hostAll lists every shard of a k-shard plan with the all-local fabric:
@@ -161,34 +154,35 @@ func checkHosted(ctor string, k int, local []int, tr transport.Transport) error 
 
 // newLockstep builds the run state of the hosted shards over a k-shard
 // plan of n vertices, sizing the round buffers for alg over q states. A
-// nil tr selects the tree barrier. shard returns a hosted shard and its
-// view.
-func newLockstep[S any](k, n int, local []int, tr transport.Transport, alg chains.Algorithm, q int, shard func(s int) (S, shardView)) lockstep[S] {
+// nil tr selects the tree barrier. shard returns a hosted shard, its
+// view, and its number of LocalMetropolis filter slots (edges or
+// constraints).
+func newLockstep[S any](k, n int, local []int, tr transport.Transport, alg chains.Algorithm, q int, shard func(s int) (S, partition.View, int)) lockstep[S] {
 	l := lockstep[S]{k: k, n: n, ws: make([]*worker[S], k), local: local, tr: tr}
 	if tr == nil {
 		l.bar = newTreeBarrier(k)
 	}
 	for _, s := range local {
-		sh, v := shard(s)
-		nl := len(v.global)
+		sh, v, filters := shard(s)
+		nl := len(v.Global)
 		w := &worker[S]{
-			sh:        sh,
-			shardView: v,
-			x:         make([]int, nl),
-			marg:      make([]float64, q),
-			sendBuf:   make([][2][]int, k),
+			sh:      sh,
+			View:    v,
+			x:       make([]int, nl),
+			marg:    make([]float64, q),
+			sendBuf: make([][2][]int, k),
 		}
 		switch alg {
 		case chains.LubyGlauber:
 			w.beta = make([]float64, nl)
 		case chains.LocalMetropolis:
 			w.prop = make([]int, nl)
-			w.pass = make([]bool, v.filters)
+			w.pass = make([]bool, filters)
 		}
-		for _, j := range v.neighbors {
+		for _, j := range v.Neighbors {
 			w.sendBuf[j] = [2][]int{
-				make([]int, len(v.sendTo[j])),
-				make([]int, len(v.sendTo[j])),
+				make([]int, len(v.SendTo[j])),
+				make([]int, len(v.SendTo[j])),
 			}
 		}
 		l.ws[s] = w
@@ -216,7 +210,7 @@ func (l *lockstep[S]) Run(init []int, seed uint64, rounds int, out []int) (Stats
 	}
 	for _, s := range l.local {
 		w := l.ws[s]
-		for i, gv := range w.global {
+		for i, gv := range w.Global {
 			w.x[i] = init[gv]
 		}
 		w.msgs, w.vals, w.waitNS = 0, 0, 0
@@ -279,9 +273,9 @@ func (l *lockstep[S]) runShard(s int, seed uint64, rounds int, out []int) error 
 			waitBefore = w.waitNS
 		}
 		flips := l.round(w, seed, r)
-		for _, j := range w.neighbors {
+		for _, j := range w.Neighbors {
 			buf := w.sendBuf[j][r&1]
-			for t, i := range w.sendTo[j] {
+			for t, i := range w.SendTo[j] {
 				buf[t] = w.x[i]
 			}
 			if l.bar == nil {
@@ -296,21 +290,21 @@ func (l *lockstep[S]) runShard(s int, seed uint64, rounds int, out []int) error 
 			t0 := time.Now()
 			l.bar.wait(s)
 			w.waitNS += time.Since(t0).Nanoseconds()
-			for _, j := range w.neighbors {
+			for _, j := range w.Neighbors {
 				msg := l.ws[j].sendBuf[s][r&1]
-				for t, i := range w.recvFrom[j] {
+				for t, i := range w.RecvFrom[j] {
 					w.x[i] = msg[t]
 				}
 			}
 		} else {
-			for _, j := range w.neighbors {
+			for _, j := range w.Neighbors {
 				t0 := time.Now()
-				msg, err := l.tr.Recv(j, s, r, len(w.recvFrom[j]))
+				msg, err := l.tr.Recv(j, s, r, len(w.RecvFrom[j]))
 				w.waitNS += time.Since(t0).Nanoseconds()
 				if err != nil {
 					return fmt.Errorf("round %d: recv from shard %d: %w", r, j, err)
 				}
-				for t, i := range w.recvFrom[j] {
+				for t, i := range w.RecvFrom[j] {
 					w.x[i] = msg[t]
 				}
 			}
@@ -322,8 +316,8 @@ func (l *lockstep[S]) runShard(s int, seed uint64, rounds int, out []int) error 
 			obs.RoundDone(s, r, time.Since(roundStart).Nanoseconds()-barrierNS, barrierNS, flips)
 		}
 	}
-	for i := 0; i < w.nOwned; i++ {
-		out[w.global[i]] = w.x[i]
+	for i := 0; i < w.NOwned; i++ {
+		out[w.Global[i]] = w.x[i]
 	}
 	return nil
 }

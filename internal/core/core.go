@@ -49,8 +49,9 @@ type Config struct {
 	// compiled seed, capped at the budget the other fields resolve to
 	// (explicit Rounds, or the theory/heuristic budget), and every draw
 	// then runs the measured round count. Draws stay bit-identical to a
-	// fixed-budget sampler pinned to the same round count. Only compiled
-	// samplers honor it; the package-level Sample routes through one.
+	// fixed-budget sampler pinned to the same round count. Compiled
+	// samplers honor it, and so does the package-level locsample.Sample,
+	// which draws on one; core.Sample does not.
 	RoundsAuto bool
 	// Coupling is the coupled-chain count diagnosed draws and RoundsAuto
 	// measurements run with (default 4; must be ≥ 2 when set).
@@ -103,8 +104,9 @@ type Config struct {
 	// Shards > 1) a compiled sampler places the shards across those
 	// processes and runs the lockstep rounds over TCP instead of
 	// in-process. Draws remain bit-identical to the centralized chain.
-	// Requires len(WorkerAddrs) <= Shards, and only compiled samplers
-	// (the batch engines) support it — not one-shot core.Sample.
+	// Requires len(WorkerAddrs) <= Shards. Compiled samplers run it, and
+	// so does the package-level locsample.Sample, which draws on one;
+	// core.Sample runs no sharded draw.
 	WorkerAddrs []string
 	// Transport, when non-nil, supplies the boundary fabric sharded
 	// in-process draws run on instead of the default channel transport.
@@ -329,10 +331,24 @@ func AutoRounds(m *mrf.MRF, alg chains.Algorithm, eps float64) (int, error) {
 	}
 }
 
-// validateFabric checks the boundary-fabric knobs (WorkerAddrs,
-// Transport) against the rest of the config; both only make sense for
-// sharded draws and exclude the other runtimes.
-func validateFabric(cfg Config) error {
+// checkRuntime enforces the runtime rules both model families share: at
+// most one in-chain runtime (Shards > 1, Parallel > 1, Distributed — three
+// ways to run the same rounds), the chains Parallel needs, the fabric
+// knobs (WorkerAddrs, StandbyAddrs, Transport) only on sharded draws, and
+// the BatchWidth range. Compile and CompileCSP both call it.
+func checkRuntime(cfg Config) error {
+	runtimes := 0
+	for _, on := range []bool{cfg.Shards > 1, cfg.Parallel > 1, cfg.Distributed} {
+		if on {
+			runtimes++
+		}
+	}
+	if runtimes > 1 {
+		return fmt.Errorf("core: Shards, Parallel and Distributed are mutually exclusive (pick one runtime)")
+	}
+	if cfg.Parallel > 1 && cfg.Algorithm != chains.LubyGlauber && cfg.Algorithm != chains.LocalMetropolis {
+		return fmt.Errorf("core: %v has no vertex-parallel rounds (only LubyGlauber and LocalMetropolis decompose into barrier-separated phases)", cfg.Algorithm)
+	}
 	if len(cfg.WorkerAddrs) > 0 {
 		if cfg.Shards <= 1 {
 			return fmt.Errorf("core: WorkerAddrs needs Shards > 1 (remote placement is a property of sharded draws)")
@@ -343,30 +359,15 @@ func validateFabric(cfg Config) error {
 		if cfg.Transport != nil {
 			return fmt.Errorf("core: WorkerAddrs and Transport are mutually exclusive (remote draws own their TCP fabric)")
 		}
-		if cfg.Distributed {
-			return fmt.Errorf("core: Distributed and WorkerAddrs are mutually exclusive")
-		}
-		if cfg.Parallel > 1 {
-			return fmt.Errorf("core: Parallel and WorkerAddrs are mutually exclusive")
-		}
 	}
 	if len(cfg.StandbyAddrs) > 0 && len(cfg.WorkerAddrs) == 0 {
 		return fmt.Errorf("core: StandbyAddrs without WorkerAddrs (standbys are spares for a remote worker fleet)")
 	}
-	if cfg.Transport != nil {
-		if cfg.Shards <= 1 {
-			return fmt.Errorf("core: Transport needs Shards > 1 (it is the sharded boundary fabric)")
-		}
-		if cfg.Distributed {
-			return fmt.Errorf("core: Distributed and Transport are mutually exclusive")
-		}
-		if cfg.Parallel > 1 {
-			return fmt.Errorf("core: Parallel and Transport are mutually exclusive")
-		}
+	if cfg.Transport != nil && cfg.Shards <= 1 {
+		return fmt.Errorf("core: Transport needs Shards > 1 (it is the sharded boundary fabric)")
 	}
-	// BatchWidth rides along here because both Compile paths funnel
-	// through validateFabric: lane sets are uint64 bitmasks, so 64 is the
-	// hard ceiling (chains.MaxBatchWidth / csp.MaxBatchWidth).
+	// Lane sets are uint64 bitmasks, so 64 is the hard ceiling
+	// (chains.MaxBatchWidth / csp.MaxBatchWidth).
 	if cfg.BatchWidth < 0 || cfg.BatchWidth > 64 {
 		return fmt.Errorf("core: BatchWidth must be in [0, 64], got %d", cfg.BatchWidth)
 	}
@@ -379,19 +380,8 @@ func validateFabric(cfg Config) error {
 // engine both go through it, so their resolutions can never drift apart —
 // which is what makes batch chain i bit-identical to a derived-seed Sample.
 func Compile(m *mrf.MRF, cfg Config) (rounds, theory int, init []int, err error) {
-	if err := validateFabric(cfg); err != nil {
+	if err := checkRuntime(cfg); err != nil {
 		return 0, 0, nil, err
-	}
-	if cfg.Parallel > 1 {
-		if cfg.Algorithm != chains.LubyGlauber && cfg.Algorithm != chains.LocalMetropolis {
-			return 0, 0, nil, fmt.Errorf("core: %v has no vertex-parallel rounds (only LubyGlauber and LocalMetropolis decompose into barrier-separated phases)", cfg.Algorithm)
-		}
-		if cfg.Shards > 1 {
-			return 0, 0, nil, fmt.Errorf("core: Shards and Parallel are mutually exclusive (pick one in-chain runtime)")
-		}
-		if cfg.Distributed {
-			return 0, 0, nil, fmt.Errorf("core: Distributed and Parallel are mutually exclusive")
-		}
 	}
 	eps := cfg.Epsilon
 	if eps == 0 {
@@ -422,10 +412,9 @@ func Compile(m *mrf.MRF, cfg Config) (rounds, theory int, init []int, err error)
 // SampleCSP path and the compiled CSP batch sampler so their resolutions
 // cannot drift. CSP workloads run the hypergraph LubyGlauber chain (§3
 // remark) and have no theory round budget, so Rounds must be explicit; the
-// in-chain runtimes (Shards, Parallel, Distributed) are mutually exclusive
-// exactly as for MRFs.
+// runtime rules are the MRF ones (checkRuntime).
 func CompileCSP(c *csp.CSP, cfg Config) (rounds int, err error) {
-	if err := validateFabric(cfg); err != nil {
+	if err := checkRuntime(cfg); err != nil {
 		return 0, err
 	}
 	if cfg.Algorithm != chains.LubyGlauber {
@@ -433,15 +422,6 @@ func CompileCSP(c *csp.CSP, cfg Config) (rounds int, err error) {
 	}
 	if cfg.Rounds <= 0 {
 		return 0, fmt.Errorf("core: CSP draws need an explicit rounds > 0 (no general theory budget exists for arbitrary CSPs)")
-	}
-	if cfg.Shards > 1 && cfg.Parallel > 1 {
-		return 0, fmt.Errorf("core: Shards and Parallel are mutually exclusive (pick one in-chain runtime)")
-	}
-	if cfg.Distributed && cfg.Shards > 1 {
-		return 0, fmt.Errorf("core: Distributed and Shards are mutually exclusive")
-	}
-	if cfg.Distributed && cfg.Parallel > 1 {
-		return 0, fmt.Errorf("core: Distributed and Parallel are mutually exclusive")
 	}
 	if len(cfg.Init) != c.N {
 		return 0, fmt.Errorf("core: init length %d for %d vertices", len(cfg.Init), c.N)
@@ -454,46 +434,18 @@ func CompileCSP(c *csp.CSP, cfg Config) (rounds int, err error) {
 
 // Sample draws one configuration whose distribution is within the
 // configured ε of the Gibbs distribution (when the model is in a proved
-// regime; see AutoRounds).
+// regime; see AutoRounds), on the LOCAL-model runtime (Distributed) or as
+// the centralized replay. Sharded draws run on a compiled sampler
+// (locsample.NewSampler), which also honors RoundsAuto.
 func Sample(m *mrf.MRF, cfg Config) (*Result, error) {
 	rounds, theory, init, err := Compile(m, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{TheoryRounds: theory}
-
 	if cfg.Shards > 1 {
-		if cfg.Distributed {
-			return nil, fmt.Errorf("core: Distributed and Shards are mutually exclusive")
-		}
-		if len(cfg.WorkerAddrs) > 0 {
-			return nil, fmt.Errorf("core: remote workers need a compiled sampler (NewSampler/NewCSPSampler), not one-shot Sample")
-		}
-		plan, err := partition.Build(m.G, cfg.Shards, cfg.ShardStrategy, cfg.Seed)
-		if err != nil {
-			return nil, err
-		}
-		var eng *cluster.Engine
-		if cfg.Transport != nil {
-			local := make([]int, plan.K)
-			for s := range local {
-				local[s] = s
-			}
-			eng, err = cluster.NewWithTransport(m, plan, cfg.Algorithm, cfg.DropRule3, local, cfg.Transport(plan.NeighborLists()))
-		} else {
-			eng, err = cluster.New(m, plan, cfg.Algorithm, cfg.DropRule3)
-		}
-		if err != nil {
-			return nil, err
-		}
-		out := make([]int, m.G.N())
-		st, err := eng.Run(init, cfg.Seed, rounds, out)
-		if err != nil {
-			return nil, err
-		}
-		res.Sample, res.Rounds, res.Shard = out, rounds, &st
-		return res, nil
+		return nil, fmt.Errorf("core: sharded draws need a compiled sampler (locsample.NewSampler)")
 	}
+	res := &Result{TheoryRounds: theory}
 
 	if cfg.Distributed {
 		switch cfg.Algorithm {

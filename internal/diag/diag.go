@@ -91,58 +91,16 @@ func (o Options) resolve() (Options, error) {
 	return o, nil
 }
 
-// coupledChains abstracts the two chain families behind the runner: k
-// states advancing under one shared seed. X(j) returns chain j's live
-// state (not a copy); StepAll advances every chain one round; StepPrimary
-// advances only chain 0 (the post-coalescence fast path — companions equal
-// chain 0 and would compute identical updates).
-type coupledChains interface {
-	K() int
-	X(j int) []int
-	StepAll()
-	StepPrimary()
-}
-
-// mrfChains couples k chains.Samplers constructed with one seed. Only
-// ss[0] carries an observer, so companion rounds are never double-counted
-// in the recorder or metrics.
-type mrfChains struct {
-	ss []*chains.Sampler
-}
-
-func (c *mrfChains) K() int        { return len(c.ss) }
-func (c *mrfChains) X(j int) []int { return c.ss[j].X }
-
-func (c *mrfChains) StepAll() {
-	for _, s := range c.ss {
-		s.Step()
-	}
-}
-
-func (c *mrfChains) StepPrimary() { c.ss[0].Step() }
-
-// cspChains couples k csp.Chains constructed with one seed; as for
-// mrfChains, only cs[0] carries an observer.
-type cspChains struct {
-	cs []*csp.Chain
-}
-
-func (c *cspChains) K() int        { return len(c.cs) }
-func (c *cspChains) X(j int) []int { return c.cs[j].X }
-
-func (c *cspChains) StepAll() {
-	for _, ch := range c.cs {
-		ch.Step()
-	}
-}
-
-func (c *cspChains) StepPrimary() { c.cs[0].Step() }
-
 // Coupled advances a k-chain grand coupling and records its mixing series.
 // Construct with NewCoupledMRF or NewCoupledCSP, advance with StepRound /
 // Run / RunToCoalescence, read the draw from X, and summarize with Finish.
 type Coupled struct {
-	cc    coupledChains
+	// step[j] advances chain j one round; x[j] is its live state (both
+	// families' steppers keep X in place across Step and Reset). Only
+	// chain 0 carries an observer, so companion rounds are never
+	// double-counted in the recorder or metrics.
+	step  []func()
+	x     [][]int
 	n     int
 	k     int
 	max   int
@@ -162,23 +120,38 @@ type Coupled struct {
 // ewmaAlpha is the flip-rate EWMA smoothing factor.
 const ewmaAlpha = 0.2
 
-func newCoupled(cc coupledChains, n int, o Options) *Coupled {
-	rec := obs.NewRoundRecorder(1, o.MaxRounds)
-	d := &Coupled{
-		cc:          cc,
+func newCoupled(n int, o Options) *Coupled {
+	return &Coupled{
 		n:           n,
 		k:           o.Chains,
 		max:         o.MaxRounds,
 		probe:       o.Probe,
-		rec:         rec,
+		rec:         obs.NewRoundRecorder(1, o.MaxRounds),
 		prev:        make([]int, n),
 		disagree:    make([]int, o.MaxRounds),
 		flips:       make([]int, o.MaxRounds),
 		ewma:        make([]float64, o.MaxRounds),
 		coalescedAt: -1,
 	}
-	copy(d.prev, cc.X(0))
-	return d
+}
+
+// add appends the next chain: its Step method value and live state. The
+// first chain added is chain 0, the draw.
+func (d *Coupled) add(step func(), x []int) {
+	if len(d.x) == 0 {
+		copy(d.prev, x)
+	}
+	d.step = append(d.step, step)
+	d.x = append(d.x, x)
+}
+
+// observer returns chain 0's round observer: the coupling's recorder,
+// teed with extra when non-nil.
+func (d *Coupled) observer(extra chains.RoundObserver) chains.RoundObserver {
+	if extra != nil {
+		return &obs.TeeRounds{A: d.rec, B: extra}
+	}
+	return d.rec
 }
 
 // NewCoupledMRF builds a k-chain coupling over model m. Chain 0 starts
@@ -198,11 +171,14 @@ func NewCoupledMRF(m *mrf.MRF, init []int, seed uint64, alg chains.Algorithm, co
 	if len(init) != m.G.N() {
 		return nil, fmt.Errorf("diag: init length %d for %d vertices", len(init), m.G.N())
 	}
-	ss := make([]*chains.Sampler, o.Chains)
-	ss[0] = chains.NewSampler(m, init, seed, alg, copts)
+	d := newCoupled(m.G.N(), o)
+	s0 := chains.NewSampler(m, init, seed, alg, copts)
+	s0.Obs = d.observer(o.Obs)
+	d.add(s0.Step, s0.X)
 	for j := 1; j < o.Chains; j++ {
 		if rot := rotatedInit(m, init, j); rot != nil {
-			ss[j] = chains.NewSampler(m, rot, seed, alg, copts)
+			s := chains.NewSampler(m, rot, seed, alg, copts)
+			d.add(s.Step, s.X)
 			continue
 		}
 		// Burn-in fallback: advance a copy of init under a private seed,
@@ -213,10 +189,8 @@ func NewCoupledMRF(m *mrf.MRF, init []int, seed uint64, alg chains.Algorithm, co
 		s := chains.NewSampler(m, init, rng.PRF(seed, TagInit, uint64(j)), alg, copts)
 		s.Run(BurnInRounds)
 		s.Reset(s.X, seed)
-		ss[j] = s
+		d.add(s.Step, s.X)
 	}
-	d := newCoupled(&mrfChains{ss: ss}, m.G.N(), o)
-	d.attachObserver(o.Obs)
 	return d, nil
 }
 
@@ -235,17 +209,17 @@ func NewCoupledCSP(c *csp.CSP, init []int, seed uint64, o Options) (*Coupled, er
 	if !c.Feasible(init) {
 		return nil, fmt.Errorf("diag: initial configuration is infeasible")
 	}
-	cs := make([]*csp.Chain, o.Chains)
-	cs[0] = csp.NewChain(c, init, seed, 0)
+	d := newCoupled(c.N, o)
+	c0 := csp.NewChain(c, init, seed, 0)
+	c0.Obs = d.observer(o.Obs)
+	d.add(c0.Step, c0.X)
 	for j := 1; j < o.Chains; j++ {
 		// Burn in under a private seed, then rewind onto the shared one.
 		ch := csp.NewChain(c, init, rng.PRF(seed, TagInit, uint64(j)), 0)
 		ch.Run(BurnInRounds)
 		ch.Reset(ch.X, seed)
-		cs[j] = ch
+		d.add(ch.Step, ch.X)
 	}
-	d := newCoupled(&cspChains{cs: cs}, c.N, o)
-	d.attachObserver(o.Obs)
 	return d, nil
 }
 
@@ -282,12 +256,14 @@ func (d *Coupled) StepRound() {
 	}
 	coalesced := d.coalescedAt >= 0
 	if coalesced {
-		d.cc.StepPrimary()
+		d.step[0]()
 	} else {
-		d.cc.StepAll()
+		for _, step := range d.step {
+			step()
+		}
 	}
 	r := d.round
-	x0 := d.cc.X(0)
+	x0 := d.x[0]
 	fl := 0
 	for v, xv := range x0 {
 		if xv != d.prev[v] {
@@ -297,8 +273,7 @@ func (d *Coupled) StepRound() {
 	}
 	dis := 0
 	if !coalesced {
-		for j := 1; j < d.k; j++ {
-			xj := d.cc.X(j)
+		for _, xj := range d.x[1:] {
 			h := 0
 			for v := range x0 {
 				if x0[v] != xj[v] {
@@ -348,7 +323,7 @@ func (d *Coupled) RunToCoalescence() int {
 }
 
 // X returns chain 0's live state (do not mutate; copy to keep).
-func (d *Coupled) X() []int { return d.cc.X(0) }
+func (d *Coupled) X() []int { return d.x[0] }
 
 // Round returns the number of rounds run so far.
 func (d *Coupled) Round() int { return d.round }
@@ -374,22 +349,6 @@ func (d *Coupled) MeasuredRounds() int {
 // Recorder exposes the internal chain-0 round recorder (for grafting into
 // traces). Read only after the run.
 func (d *Coupled) Recorder() *obs.RoundRecorder { return d.rec }
-
-// attachObserver installs the coupling's recorder (teed with extra when
-// non-nil) as chain 0's observer. Called by the constructors after
-// newCoupled so the recorder exists.
-func (d *Coupled) attachObserver(extra chains.RoundObserver) {
-	var o chains.RoundObserver = d.rec
-	if extra != nil {
-		o = &obs.TeeRounds{A: d.rec, B: extra}
-	}
-	switch cc := d.cc.(type) {
-	case *mrfChains:
-		cc.ss[0].Obs = o
-	case *cspChains:
-		cc.cs[0].Obs = o
-	}
-}
 
 // ShardSeries is one shard's per-round attribution within a Diagnosis.
 // Centralized couplings have exactly one shard (0).

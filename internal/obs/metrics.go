@@ -263,11 +263,7 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	if r == nil {
 		return nil
 	}
-	s := r.getSeries(name, help, kindCounter, labels)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.getSeries(name, help, kindCounter, 0, labels).c
 }
 
 // Gauge returns the gauge with the given name and label pairs, creating
@@ -276,11 +272,7 @@ func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	s := r.getSeries(name, help, kindGauge, labels)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.getSeries(name, help, kindGauge, 0, labels).g
 }
 
 // Histogram returns the histogram with the given name and label pairs,
@@ -291,20 +283,16 @@ func (r *Registry) Histogram(name, help string, scale float64, labels ...string)
 	if r == nil {
 		return nil
 	}
-	s := r.getSeries(name, help, kindHistogram, labels)
-	if s.h == nil {
-		if scale <= 0 {
-			scale = 1
-		}
-		s.h = &Histogram{scale: scale}
-	}
-	return s.h
+	return r.getSeries(name, help, kindHistogram, scale, labels).h
 }
 
-// getSeries get-or-creates the series for (name, labels). A name reused
-// with a different kind panics: that is a programming error the first
-// /metrics render would otherwise turn into an unparseable exposition.
-func (r *Registry) getSeries(name, help string, kind metricKind, labels []string) *series {
+// getSeries get-or-creates the series for (name, labels), creating its
+// metric under the registry lock so concurrent first uses all get the same
+// one (scale is the histogram scale, ignored for other kinds). A name
+// reused with a different kind panics: that is a programming error the
+// first /metrics render would otherwise turn into an unparseable
+// exposition.
+func (r *Registry) getSeries(name, help string, kind metricKind, scale float64, labels []string) *series {
 	if !validMetricName(name) {
 		panic(fmt.Sprintf("obs: invalid metric name %q", name))
 	}
@@ -323,6 +311,17 @@ func (r *Registry) getSeries(name, help string, kind metricKind, labels []string
 	s, ok := f.byLbl[lbl]
 	if !ok {
 		s = &series{labels: lbl}
+		switch kind {
+		case kindCounter:
+			s.c = &Counter{}
+		case kindGauge:
+			s.g = &Gauge{}
+		default:
+			if scale <= 0 {
+				scale = 1
+			}
+			s.h = &Histogram{scale: scale}
+		}
 		f.byLbl[lbl] = s
 		f.series = append(f.series, s)
 		sort.Slice(f.series, func(i, j int) bool { return f.series[i].labels < f.series[j].labels })

@@ -11,23 +11,15 @@
 package partition
 
 import (
-	"fmt"
-	"slices"
 	"sort"
 
 	"locsample/internal/csp"
 )
 
-// CSPShard is one worker's slice of a CSP. Local vertex indices come in two
-// bands: [0, NOwned) are the owned vertices in ascending global order,
-// [NOwned, len(Global)) are halo copies in ascending global order.
+// CSPShard is one worker's slice of a CSP: its View plus the local
+// constraint tables of its owned vertices.
 type CSPShard struct {
-	// ID is the shard's index in the plan.
-	ID int
-	// NOwned is the number of vertices this shard owns.
-	NOwned int
-	// Global maps local vertex indices to global vertex IDs.
-	Global []int32
+	View
 
 	// NbrPtr/Nbr is the hypergraph-neighborhood CSR of the owned rows:
 	// owned vertex v's Γ(v) occupies Nbr[NbrPtr[v]:NbrPtr[v+1]] as local
@@ -48,43 +40,16 @@ type CSPShard struct {
 	// centralized conditional marginal.
 	VconPtr []int32
 	Vcon    []int32
-
-	// SendTo[j] lists the owned local indices whose post-round values this
-	// shard sends to shard j; RecvFrom[j] lists the halo local indices this
-	// shard overwrites with shard j's message. The maps are symmetric and
-	// aligned exactly as in the MRF Plan.
-	SendTo   [][]int32
-	RecvFrom [][]int32
-	// Neighbors lists the shards this shard exchanges with, ascending.
-	Neighbors []int
 }
-
-// NLocal returns the number of local vertices (owned + halo).
-func (s *CSPShard) NLocal() int { return len(s.Global) }
-
-// NHalo returns the number of halo copies this shard holds.
-func (s *CSPShard) NHalo() int { return len(s.Global) - s.NOwned }
 
 // CSPPlan is a compiled partition of a CSP's vertices into k shards.
 type CSPPlan struct {
-	// K is the shard count.
-	K int
-	// Strategy and Seed are the inputs the ownership assignment was grown
-	// from (Seed only matters for BFS).
-	Strategy Strategy
-	Seed     uint64
-	// N is the partitioned CSP's vertex count.
-	N int
-	// Owner[v] is the shard owning global vertex v.
-	Owner []int32
+	Layout
 	// Shards are the per-worker slices.
 	Shards []*CSPShard
 	// CutConstraints counts constraints whose scope spans several owners
 	// (each is checked redundantly on every incident shard).
 	CutConstraints int
-	// HaloCopies is the total number of halo slots across all shards — the
-	// number of vertex states crossing shard boundaries per exchange.
-	HaloCopies int
 }
 
 // BuildCSP compiles a k-way partition of CSP c over its constraint
@@ -93,91 +58,25 @@ type CSPPlan struct {
 // planner, which partition a chain runs on never affects its output, only
 // its boundary traffic.
 func BuildCSP(c *csp.CSP, k int, strat Strategy, seed uint64) (*CSPPlan, error) {
-	n := c.N
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("partition: need 1 <= shards <= %d vertices, got %d", n, k)
+	l, views, err := newLayout(c.N, k, strat, seed, func(v int32) []int32 { return c.Neighborhood(int(v)) })
+	if err != nil {
+		return nil, err
 	}
-	owner := make([]int32, n)
-	switch strat {
-	case Range:
-		for v := 0; v < n; v++ {
-			owner[v] = int32(v * k / n)
-		}
-	case BFS:
-		growBFS(n, func(v int32) []int32 { return c.Neighborhood(int(v)) }, k, seed, owner)
-	default:
-		return nil, fmt.Errorf("partition: unknown strategy %v", strat)
-	}
-	p := &CSPPlan{K: k, Strategy: strat, Seed: seed, N: n, Owner: owner}
-	p.assemble(c)
-	return p, nil
-}
-
-// NeighborLists returns the plan's shard adjacency in the shape the
-// transport constructors take; the rows alias the shards' neighbor
-// slices and must not be mutated.
-func (p *CSPPlan) NeighborLists() [][]int {
-	out := make([][]int, p.K)
-	for s, sh := range p.Shards {
-		out[s] = sh.Neighbors
-	}
-	return out
-}
-
-// assemble builds the per-shard slices, halo bands, and exchange maps from
-// the ownership assignment.
-func (p *CSPPlan) assemble(c *csp.CSP) {
-	n, k := p.N, p.K
-	ownedOf := make([][]int32, k)
-	counts := make([]int, k)
-	for _, o := range p.Owner {
-		counts[o]++
-	}
-	for s := 0; s < k; s++ {
-		ownedOf[s] = make([]int32, 0, counts[s])
-	}
-	for v := 0; v < n; v++ {
-		ownedOf[p.Owner[v]] = append(ownedOf[p.Owner[v]], int32(v)) // ascending
-	}
+	p := &CSPPlan{Layout: l, Shards: make([]*CSPShard, k)}
 
 	// Scratch shared across shards: localOf is only read at indices set
 	// while building the current shard; constraint stamps carry a shard
 	// epoch so no per-shard reset is needed.
-	localOf := make([]int32, n)
+	localOf := make([]int32, l.N)
 	conStamp := make([]int32, len(c.Cons))
 	conSlot := make([]int32, len(c.Cons))
 	for i := range conStamp {
 		conStamp[i] = -1
 	}
-
-	p.Shards = make([]*CSPShard, k)
-	for s := 0; s < k; s++ {
-		owned := ownedOf[s]
-		sh := &CSPShard{ID: s, NOwned: len(owned)}
-
-		// Halo: out-of-shard hypergraph neighbors of owned vertices,
-		// sort+dedupe over the Γ incidence (the same allocation-light
-		// construction as csp.buildIndexes).
-		var halo []int32
-		for _, v := range owned {
-			for _, u := range c.Neighborhood(int(v)) {
-				if p.Owner[u] != int32(s) {
-					halo = append(halo, u)
-				}
-			}
-		}
-		slices.Sort(halo)
-		halo = slices.Compact(halo)
-
-		sh.Global = make([]int32, 0, len(owned)+len(halo))
-		sh.Global = append(sh.Global, owned...)
-		sh.Global = append(sh.Global, halo...)
-		for i, v := range owned {
-			localOf[v] = int32(i)
-		}
-		for i, u := range halo {
-			localOf[u] = int32(len(owned) + i)
-		}
+	for s := range views {
+		sh := &CSPShard{View: views[s]}
+		sh.index(localOf)
+		owned := l.Owned[s]
 
 		// Hypergraph-neighborhood CSR over owned rows.
 		sh.NbrPtr = make([]int32, len(owned)+1)
@@ -238,35 +137,6 @@ func (p *CSPPlan) assemble(c *csp.CSP) {
 		}
 
 		p.Shards[s] = sh
-		p.HaloCopies += len(halo)
-	}
-
-	// Exchange maps: identical lockstep construction to the MRF plan —
-	// iterating receivers in shard order and halo slots in ascending global
-	// order appends to SendTo and RecvFrom in matching positions.
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		sh.SendTo = make([][]int32, k)
-		sh.RecvFrom = make([][]int32, k)
-	}
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		for h := sh.NOwned; h < len(sh.Global); h++ {
-			u := sh.Global[h]
-			j := p.Owner[u]
-			js := p.Shards[j]
-			lu := int32(sort.Search(js.NOwned, func(i int) bool { return js.Global[i] >= u }))
-			js.SendTo[s] = append(js.SendTo[s], lu)
-			sh.RecvFrom[j] = append(sh.RecvFrom[j], int32(h))
-		}
-	}
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		for j := 0; j < k; j++ {
-			if len(sh.SendTo[j]) > 0 || len(sh.RecvFrom[j]) > 0 {
-				sh.Neighbors = append(sh.Neighbors, j)
-			}
-		}
 	}
 	for i := range c.Cons {
 		scope := c.Cons[i].Scope
@@ -278,4 +148,5 @@ func (p *CSPPlan) assemble(c *csp.CSP) {
 			}
 		}
 	}
+	return p, nil
 }

@@ -22,10 +22,8 @@ package partition
 
 import (
 	"fmt"
-	"sort"
 
 	"locsample/internal/graph"
-	"locsample/internal/rng"
 )
 
 // TagGrow keys the PRF that orders BFS growth seeds. It is disjoint from
@@ -84,16 +82,10 @@ type Edge struct {
 	ID   int32
 }
 
-// Shard is one worker's slice of the graph. Local vertex indices come in
-// two bands: [0, NOwned) are the owned vertices in ascending global order,
-// [NOwned, len(Global)) are halo copies in ascending global order.
+// Shard is one worker's slice of the graph: its View plus the CSR
+// subgraph of its owned vertices.
 type Shard struct {
-	// ID is the shard's index in the plan.
-	ID int
-	// NOwned is the number of vertices this shard owns.
-	NOwned int
-	// Global maps local vertex indices to global vertex IDs.
-	Global []int32
+	View
 
 	// RowPtr/Nbr/EdgeSlot is the CSR adjacency of the owned vertices
 	// (owned rows only): owned vertex v's slots are [RowPtr[v],
@@ -104,213 +96,41 @@ type Shard struct {
 	EdgeSlot []int32
 	// Edges lists every edge with at least one owned endpoint, once.
 	Edges []Edge
-
-	// SendTo[j] lists the owned local indices whose post-round values this
-	// shard sends to shard j; RecvFrom[j] lists the halo local indices this
-	// shard overwrites with shard j's message. The maps are symmetric and
-	// aligned: plan.Shards[j].SendTo[i][t] and plan.Shards[i].RecvFrom[j][t]
-	// name the same global vertex.
-	SendTo   [][]int32
-	RecvFrom [][]int32
-	// Neighbors lists the shards this shard exchanges with, ascending.
-	Neighbors []int
 }
-
-// NLocal returns the number of local vertices (owned + halo).
-func (s *Shard) NLocal() int { return len(s.Global) }
-
-// NHalo returns the number of halo copies this shard holds.
-func (s *Shard) NHalo() int { return len(s.Global) - s.NOwned }
 
 // Plan is a compiled partition of a graph into k shards.
 type Plan struct {
-	// K is the shard count.
-	K int
-	// Strategy and Seed are the inputs the ownership assignment was grown
-	// from (Seed only matters for BFS).
-	Strategy Strategy
-	Seed     uint64
-	// N is the partitioned graph's vertex count.
-	N int
-	// Owner[v] is the shard owning global vertex v.
-	Owner []int32
+	Layout
 	// Shards are the per-worker subgraphs.
 	Shards []*Shard
 	// CutEdges counts edges whose endpoints live on different shards.
 	CutEdges int
-	// HaloCopies is the total number of halo slots across all shards — the
-	// number of vertex states crossing shard boundaries per exchange.
-	HaloCopies int
 }
 
 // Build compiles a k-way partition of g. It requires 1 <= k <= g.N(), so
 // every shard owns at least one vertex. The result is a pure function of
 // the arguments.
 func Build(g *graph.Graph, k int, strat Strategy, seed uint64) (*Plan, error) {
-	n := g.N()
-	if k < 1 || k > n {
-		return nil, fmt.Errorf("partition: need 1 <= shards <= %d vertices, got %d", n, k)
+	l, views, err := newLayout(g.N(), k, strat, seed, func(v int32) []int32 { return g.Adj(int(v)) })
+	if err != nil {
+		return nil, err
 	}
-	owner := make([]int32, n)
-	switch strat {
-	case Range:
-		for v := 0; v < n; v++ {
-			owner[v] = int32(v * k / n)
-		}
-	case BFS:
-		growBFS(n, func(v int32) []int32 { return g.Adj(int(v)) }, k, seed, owner)
-	default:
-		return nil, fmt.Errorf("partition: unknown strategy %v", strat)
-	}
-	p := &Plan{K: k, Strategy: strat, Seed: seed, N: n, Owner: owner}
-	p.assemble(g)
-	return p, nil
-}
-
-// growBFS assigns owners by seeded breadth-first growth over an arbitrary
-// adjacency (graph edges for MRF plans, hypergraph neighborhoods Γ(v) for
-// CSP plans). Vertices are ranked once by PRF(seed, TagGrow, v) (ties by
-// ID); each shard starts from the best-ranked unassigned vertex and claims
-// its balanced share of the remaining vertices by BFS, restarting from the
-// next-ranked unassigned vertex whenever its frontier exhausts a component.
-// Deterministic: the rank order, the FIFO frontier, and the adjacency order
-// leave no choice to scheduling.
-func growBFS(n int, adj func(int32) []int32, k int, seed uint64, owner []int32) {
-	for v := range owner {
-		owner[v] = -1
-	}
-	ranked := make([]int32, n)
-	key := make([]uint64, n)
-	for v := 0; v < n; v++ {
-		ranked[v] = int32(v)
-		key[v] = rng.PRF(seed, TagGrow, uint64(v))
-	}
-	sort.Slice(ranked, func(i, j int) bool {
-		a, b := ranked[i], ranked[j]
-		if key[a] != key[b] {
-			return key[a] < key[b]
-		}
-		return a < b
-	})
-	cursor := 0 // next candidate growth seed in ranked order
-	assigned := 0
-	queue := make([]int32, 0, n)
-	for s := 0; s < k; s++ {
-		target := (n - assigned + (k - s) - 1) / (k - s) // balanced share
-		claimed := 0
-		for claimed < target {
-			for owner[ranked[cursor]] != -1 {
-				cursor++
-			}
-			start := ranked[cursor]
-			owner[start] = int32(s)
-			claimed++
-			queue = append(queue[:0], start)
-			for len(queue) > 0 && claimed < target {
-				v := queue[0]
-				queue = queue[1:]
-				for _, u := range adj(v) {
-					if owner[u] != -1 {
-						continue
-					}
-					owner[u] = int32(s)
-					claimed++
-					queue = append(queue, u)
-					if claimed >= target {
-						break
-					}
-				}
-			}
-		}
-		assigned += claimed
-	}
-}
-
-// NeighborLists returns the plan's shard adjacency (NeighborLists()[s]
-// lists the shards s exchanges boundary states with) in the shape the
-// transport constructors take. The rows alias the shards' neighbor
-// slices; callers must not mutate them.
-func (p *Plan) NeighborLists() [][]int {
-	out := make([][]int, p.K)
-	for s, sh := range p.Shards {
-		out[s] = sh.Neighbors
-	}
-	return out
-}
-
-// AssignShards places k shards on w worker processes contiguously and
-// balanced: shard s goes to process s*w/k, so every process hosts a
-// consecutive run of ⌊k/w⌋ or ⌈k/w⌉ shards and (for w ≤ k) no process
-// is empty. Contiguity matters for the Range strategy, where
-// consecutive shards own consecutive vertex bands and are each other's
-// likeliest neighbors.
-func AssignShards(k, w int) []int {
-	assign := make([]int, k)
-	for s := range assign {
-		assign[s] = s * w / k
-	}
-	return assign
-}
-
-// assemble builds the per-shard subgraphs, halo bands, and exchange maps
-// from the ownership assignment.
-func (p *Plan) assemble(g *graph.Graph) {
-	n, k := p.N, p.K
-	ownedOf := make([][]int32, k)
-	counts := make([]int, k)
-	for _, o := range p.Owner {
-		counts[o]++
-	}
-	for s := 0; s < k; s++ {
-		ownedOf[s] = make([]int32, 0, counts[s])
-	}
-	for v := 0; v < n; v++ {
-		s := p.Owner[v]
-		ownedOf[s] = append(ownedOf[s], int32(v)) // ascending global order
-	}
+	p := &Plan{Layout: l, Shards: make([]*Shard, k)}
 
 	// Scratch shared across shards: localOf is only read at indices set
 	// while building the current shard (every referenced endpoint is owned
 	// or halo there); edge stamps carry a shard epoch so no per-shard reset
 	// is needed.
-	localOf := make([]int32, n)
+	localOf := make([]int32, l.N)
 	edgeStamp := make([]int32, g.M())
 	edgeLocal := make([]int32, g.M())
 	for i := range edgeStamp {
 		edgeStamp[i] = -1
 	}
-
-	p.Shards = make([]*Shard, k)
-	for s := 0; s < k; s++ {
-		owned := ownedOf[s]
-		sh := &Shard{ID: s, NOwned: len(owned)}
-
-		// Halo: out-of-shard neighbors of owned vertices, deduplicated and
-		// sorted ascending.
-		var halo []int32
-		seen := make(map[int32]struct{})
-		for _, v := range owned {
-			for _, u := range g.Adj(int(v)) {
-				if p.Owner[u] == int32(s) {
-					continue
-				}
-				if _, ok := seen[u]; !ok {
-					seen[u] = struct{}{}
-					halo = append(halo, u)
-				}
-			}
-		}
-		sort.Slice(halo, func(i, j int) bool { return halo[i] < halo[j] })
-
-		sh.Global = make([]int32, 0, len(owned)+len(halo))
-		sh.Global = append(sh.Global, owned...)
-		sh.Global = append(sh.Global, halo...)
-		for i, v := range owned {
-			localOf[v] = int32(i)
-		}
-		for i, u := range halo {
-			localOf[u] = int32(len(owned) + i)
-		}
+	for s := range views {
+		sh := &Shard{View: views[s]}
+		sh.index(localOf)
+		owned := l.Owned[s]
 
 		// CSR over owned rows in the global slot order.
 		sh.RowPtr = make([]int32, len(owned)+1)
@@ -336,39 +156,25 @@ func (p *Plan) assemble(g *graph.Graph) {
 			}
 		}
 		p.Shards[s] = sh
-		p.HaloCopies += len(halo)
-	}
-
-	// Exchange maps. Iterating receivers in shard order and halo slots in
-	// ascending global order appends to SendTo and RecvFrom in lockstep, so
-	// the two sides of every channel agree position-by-position.
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		sh.SendTo = make([][]int32, k)
-		sh.RecvFrom = make([][]int32, k)
-	}
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		for h := sh.NOwned; h < len(sh.Global); h++ {
-			u := sh.Global[h]
-			j := p.Owner[u]
-			js := p.Shards[j]
-			lu := int32(sort.Search(js.NOwned, func(i int) bool { return js.Global[i] >= u }))
-			js.SendTo[s] = append(js.SendTo[s], lu)
-			sh.RecvFrom[j] = append(sh.RecvFrom[j], int32(h))
-		}
-	}
-	for s := 0; s < k; s++ {
-		sh := p.Shards[s]
-		for j := 0; j < k; j++ {
-			if len(sh.SendTo[j]) > 0 || len(sh.RecvFrom[j]) > 0 {
-				sh.Neighbors = append(sh.Neighbors, j)
-			}
-		}
 	}
 	for _, e := range g.Edges() {
 		if p.Owner[e.U] != p.Owner[e.V] {
 			p.CutEdges++
 		}
 	}
+	return p, nil
+}
+
+// AssignShards places k shards on w worker processes contiguously and
+// balanced: shard s goes to process s*w/k, so every process hosts a
+// consecutive run of ⌊k/w⌋ or ⌈k/w⌉ shards and (for w ≤ k) no process
+// is empty. Contiguity matters for the Range strategy, where
+// consecutive shards own consecutive vertex bands and are each other's
+// likeliest neighbors.
+func AssignShards(k, w int) []int {
+	assign := make([]int, k)
+	for s := range assign {
+		assign[s] = s * w / k
+	}
+	return assign
 }

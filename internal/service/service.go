@@ -267,23 +267,27 @@ type compileKey struct {
 	local bool
 }
 
-// compiled is one cache entry: a reusable MRF batch sampler or a reusable
-// CSP batch sampler.
+// compiled is one cache entry: a reusable batch sampler of either family
+// behind the methods *locsample.Sampler and *locsample.CSPSampler share
+// (CSPBatch is an alias of Batch), plus its single-chain traced and
+// diagnosed draws, bound once at compile time. Close releases remote
+// worker sessions; it is idempotent and safe while a draw still borrows
+// the entry — a later draw simply reconnects.
 type compiled struct {
-	sampler    *locsample.Sampler
-	cspSampler *locsample.CSPSampler
+	sampler
+	theory    int // automatic round budget (0 when pinned, and for CSPs)
+	traced    func(ctx context.Context, seed uint64) ([]int, *locsample.ShardStats, *locsample.Trace, error)
+	diagnosed func(seed uint64, probe locsample.CouplingProbe) ([]int, *locsample.Diagnosis, error)
 }
 
-// close releases a compiled sampler's external resources (remote worker
-// sessions). Closing is idempotent and safe while a draw still borrows
-// the entry — a later draw simply reconnects.
-func (c *compiled) close() {
-	if c.sampler != nil {
-		c.sampler.Close()
-	}
-	if c.cspSampler != nil {
-		c.cspSampler.Close()
-	}
+// sampler is what the service needs of a compiled sampler.
+type sampler interface {
+	SampleNContext(ctx context.Context, seed uint64, k int) (*locsample.Batch, error)
+	Rounds() int
+	CapRounds() int
+	Shards() int
+	ParallelRounds() int
+	Close() error
 }
 
 // Registry is the model store and compiled-sampler cache. All methods are
@@ -708,42 +712,30 @@ func (r *Registry) drawDiagnosed(m *Model, opts DrawOptions, probe locsample.Cou
 	if err := r.validateDrawOptions(opts); err != nil {
 		return nil, nil, err
 	}
-	c, err := r.getCompiled(m, opts)
+	key, err := r.compileKeyFor(m, opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	c, err := r.getCompiledKey(m, key, opts)
 	if err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
 	// Chain 0 of an untraced k-batch runs with ChainSeed(seed, 0); the
 	// diagnosed single chain must match it bit-for-bit.
-	seed := locsample.ChainSeed(opts.Seed, 0)
-	if c.sampler != nil {
-		res, diag, err := c.sampler.SampleDiagnosedObserved(seed, probe)
-		if err != nil {
-			return nil, nil, err
-		}
-		return &DrawResult{
-			Samples:      [][]int{res.Sample},
-			Rounds:       res.Rounds,
-			TheoryRounds: res.TheoryRounds,
-			Algorithm:    algorithmName(m, opts),
-			Shards:       1, // diagnosed draws run the coupling centralized
-			Parallel:     1,
-			Elapsed:      time.Since(start),
-			CapRounds:    c.sampler.CapRounds(),
-		}, diag, nil
-	}
-	sample, diag, err := c.cspSampler.SampleDiagnosedObserved(seed, probe)
+	sample, diag, err := c.diagnosed(locsample.ChainSeed(opts.Seed, 0), probe)
 	if err != nil {
 		return nil, nil, err
 	}
 	return &DrawResult{
-		Samples:   [][]int{sample},
-		Rounds:    c.cspSampler.Rounds(),
-		Algorithm: "lubyglauber",
-		Shards:    1,
-		Parallel:  1,
-		Elapsed:   time.Since(start),
-		CapRounds: c.cspSampler.CapRounds(),
+		Samples:      [][]int{sample},
+		Rounds:       c.Rounds(),
+		TheoryRounds: c.theory,
+		Algorithm:    strings.ToLower(key.algorithm.String()),
+		Shards:       1, // diagnosed draws run the coupling centralized
+		Parallel:     1,
+		Elapsed:      time.Since(start),
+		CapRounds:    c.CapRounds(),
 	}, diag, nil
 }
 
@@ -870,90 +862,35 @@ func (r *Registry) drawCompiled(ctx context.Context, m *Model, key compileKey, o
 		return nil, err
 	}
 	start := time.Now()
-	if c.sampler != nil {
-		if tr != nil {
-			// Chain 0 of an untraced k-batch runs with ChainSeed(seed, 0);
-			// the traced single chain must match it bit-for-bit.
-			res, t, err := c.sampler.SampleTracedContext(ctx, locsample.ChainSeed(opts.Seed, 0))
-			if err != nil {
-				return nil, err
-			}
-			tr.t = t
-			out := &DrawResult{
-				Samples:      [][]int{res.Sample},
-				Rounds:       res.Rounds,
-				TheoryRounds: res.TheoryRounds,
-				Algorithm:    algorithmName(m, opts),
-				Shards:       c.sampler.Shards(),
-				Parallel:     c.sampler.ParallelRounds(),
-				Elapsed:      time.Since(start),
-				CapRounds:    c.sampler.CapRounds(),
-			}
-			if res.Shard != nil {
-				out.Shard = *res.Shard
-			}
-			return out, nil
-		}
-		batch, err := c.sampler.SampleNContext(ctx, opts.Seed, opts.K)
-		if err != nil {
-			return nil, err
-		}
-		return &DrawResult{
-			Samples:      batch.Samples,
-			Rounds:       batch.Rounds,
-			TheoryRounds: batch.TheoryRounds,
-			Algorithm:    algorithmName(m, opts),
-			Shards:       c.sampler.Shards(),
-			Parallel:     c.sampler.ParallelRounds(),
-			Shard:        batch.Shard,
-			Elapsed:      time.Since(start),
-			CapRounds:    c.sampler.CapRounds(),
-			SoAWidth:     batch.SoAWidth,
-		}, nil
+	res := &DrawResult{
+		Rounds:       c.Rounds(),
+		TheoryRounds: c.theory,
+		Algorithm:    strings.ToLower(key.algorithm.String()),
+		Shards:       c.Shards(),
+		Parallel:     c.ParallelRounds(),
+		CapRounds:    c.CapRounds(),
 	}
 	if tr != nil {
-		sample, st, t, err := c.cspSampler.SampleTracedContext(ctx, locsample.ChainSeed(opts.Seed, 0))
+		// Chain 0 of an untraced k-batch runs with ChainSeed(seed, 0);
+		// the traced single chain must match it bit-for-bit.
+		sample, st, t, err := c.traced(ctx, locsample.ChainSeed(opts.Seed, 0))
 		if err != nil {
 			return nil, err
 		}
 		tr.t = t
-		out := &DrawResult{
-			Samples:   [][]int{sample},
-			Rounds:    c.cspSampler.Rounds(),
-			Algorithm: "lubyglauber",
-			Shards:    c.cspSampler.Shards(),
-			Parallel:  c.cspSampler.ParallelRounds(),
-			Elapsed:   time.Since(start),
-			CapRounds: c.cspSampler.CapRounds(),
-		}
+		res.Samples = [][]int{sample}
 		if st != nil {
-			out.Shard = *st
+			res.Shard = *st
 		}
-		return out, nil
+	} else {
+		batch, err := c.SampleNContext(ctx, opts.Seed, opts.K)
+		if err != nil {
+			return nil, err
+		}
+		res.Samples, res.Shard, res.SoAWidth = batch.Samples, batch.Shard, batch.SoAWidth
 	}
-	batch, err := c.cspSampler.SampleNContext(ctx, opts.Seed, opts.K)
-	if err != nil {
-		return nil, err
-	}
-	return &DrawResult{
-		Samples:   batch.Samples,
-		Rounds:    batch.Rounds,
-		Algorithm: "lubyglauber",
-		Shards:    c.cspSampler.Shards(),
-		Parallel:  c.cspSampler.ParallelRounds(),
-		Shard:     batch.Shard,
-		Elapsed:   time.Since(start),
-		CapRounds: c.cspSampler.CapRounds(),
-		SoAWidth:  batch.SoAWidth,
-	}, nil
-}
-
-func algorithmName(m *Model, opts DrawOptions) string {
-	a, err := ParseAlgorithm(opts.Algorithm)
-	if err != nil {
-		return opts.Algorithm
-	}
-	return strings.ToLower(a.String())
+	res.Elapsed = time.Since(start)
+	return res, nil
 }
 
 // getCompiled returns the cached compiled sampler for (model, options),
@@ -1011,7 +948,7 @@ func (r *Registry) getCompiledKey(m *Model, key compileKey, opts DrawOptions) (*
 			r.lru.Remove(oldest)
 			entry := oldest.Value.(*lruEntry)
 			delete(r.byKey, entry.key)
-			entry.c.close()
+			entry.c.Close()
 		}
 	}
 	r.mu.Unlock()
@@ -1098,30 +1035,6 @@ func (r *Registry) resolveRuntime(m *Model, opts DrawOptions) (shards, parallel 
 // compile does the actual compilation work; it is called without r.mu
 // held (the caller serializes same-key compiles via the singleflight).
 func (r *Registry) compile(m *Model, key compileKey, opts DrawOptions) (*compiled, error) {
-	if m.Built.CSP != nil {
-		sopts := append(r.commonOptions(), locsample.WithRounds(key.rounds))
-		if key.shards > 1 {
-			sopts = append(sopts, locsample.WithShards(key.shards))
-			if !key.local {
-				sopts = append(sopts, r.remoteOptions(m, key.shards)...)
-			}
-		}
-		if key.parallel > 1 {
-			sopts = append(sopts, locsample.WithParallelRounds(key.parallel))
-		}
-		if key.auto {
-			// The coupling measures under the sampler's compile seed (the
-			// service leaves it at 0), so the measured budget depends only
-			// on (model, options) — per-request seeds still reseed draws.
-			sopts = append(sopts, locsample.WithRoundsAuto())
-		}
-		r.compiles.Inc()
-		cs, err := locsample.NewCSPSampler(m.Built.Graph, m.Built.CSP, m.Built.Init, sopts...)
-		if err != nil {
-			return nil, err
-		}
-		return &compiled{cspSampler: cs}, nil
-	}
 	sopts := append(r.commonOptions(), locsample.WithAlgorithm(key.algorithm))
 	if key.rounds > 0 {
 		sopts = append(sopts, locsample.WithRounds(key.rounds))
@@ -1139,14 +1052,41 @@ func (r *Registry) compile(m *Model, key compileKey, opts DrawOptions) (*compile
 		sopts = append(sopts, locsample.WithParallelRounds(key.parallel))
 	}
 	if key.auto {
+		// The coupling measures under the sampler's compile seed (the
+		// service leaves it at 0), so the measured budget depends only
+		// on (model, options) — per-request seeds still reseed draws.
 		sopts = append(sopts, locsample.WithRoundsAuto())
 	}
 	r.compiles.Inc()
-	sampler, err := locsample.NewSampler(m.Built.Model, sopts...)
+	if m.Built.CSP != nil {
+		cs, err := locsample.NewCSPSampler(m.Built.Graph, m.Built.CSP, m.Built.Init, sopts...)
+		if err != nil {
+			return nil, err
+		}
+		return &compiled{sampler: cs, traced: cs.SampleTracedContext, diagnosed: cs.SampleDiagnosedObserved}, nil
+	}
+	s, err := locsample.NewSampler(m.Built.Model, sopts...)
 	if err != nil {
 		return nil, err
 	}
-	return &compiled{sampler: sampler}, nil
+	return &compiled{
+		sampler: s,
+		theory:  s.TheoryRounds(),
+		traced: func(ctx context.Context, seed uint64) ([]int, *locsample.ShardStats, *locsample.Trace, error) {
+			res, t, err := s.SampleTracedContext(ctx, seed)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			return res.Sample, res.Shard, t, nil
+		},
+		diagnosed: func(seed uint64, probe locsample.CouplingProbe) ([]int, *locsample.Diagnosis, error) {
+			res, d, err := s.SampleDiagnosedObserved(seed, probe)
+			if err != nil {
+				return nil, nil, err
+			}
+			return res.Sample, d, nil
+		},
+	}, nil
 }
 
 // commonOptions are the observability options every compiled sampler

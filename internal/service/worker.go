@@ -461,7 +461,7 @@ func (w *Worker) buildJob(job *transport.JobMsg) (*workerJob, error) {
 		shards:     job.Shards,
 		metricsObs: w.metrics.rounds,
 	}
-	var neighbors [][]int
+	var layout *partition.Layout
 	var mkEngine func(tr transport.Transport) (shardEngine, error)
 	switch job.Kind {
 	case "mrf":
@@ -476,14 +476,7 @@ func (w *Worker) buildJob(job *transport.JobMsg) (*workerJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		neighbors = plan.NeighborLists()
-		for _, s := range local {
-			sh := plan.Shards[s]
-			for _, g := range sh.Global[:sh.NOwned] {
-				js.owned = append(js.owned, int(g))
-			}
-		}
-		js.out = make([]int, built.MRF.G.N())
+		layout = &plan.Layout
 		mkEngine = func(tr transport.Transport) (shardEngine, error) {
 			return cluster.NewWithTransport(built.MRF, plan, alg, job.DropRule3, local, tr)
 		}
@@ -495,23 +488,19 @@ func (w *Worker) buildJob(job *transport.JobMsg) (*workerJob, error) {
 		if err != nil {
 			return nil, err
 		}
-		neighbors = plan.NeighborLists()
-		for _, s := range local {
-			sh := plan.Shards[s]
-			for _, g := range sh.Global[:sh.NOwned] {
-				js.owned = append(js.owned, int(g))
-			}
-		}
-		js.out = make([]int, built.CSP.N)
+		layout = &plan.Layout
 		mkEngine = func(tr transport.Transport) (shardEngine, error) {
 			return cluster.NewCSPWithTransport(built.CSP, plan, locsample.LubyGlauber, local, tr)
 		}
 	default:
 		return nil, fmt.Errorf("worker: unknown job kind %q", job.Kind)
 	}
-	if len(js.init) != len(js.out) {
-		return nil, fmt.Errorf("worker: init carries %d states for %d vertices", len(js.init), len(js.out))
+	if len(js.init) != layout.N {
+		return nil, fmt.Errorf("worker: init carries %d states for %d vertices", len(js.init), layout.N)
 	}
+	js.out = make([]int, layout.N)
+	js.owned = layout.Slots(assign, len(job.Workers))[job.Self]
+	neighbors := layout.NeighborLists()
 
 	tcp, err := transport.NewTCP(transport.TCPConfig{
 		JobID:       job.JobID,

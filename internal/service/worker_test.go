@@ -2,6 +2,7 @@ package service
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -41,9 +42,25 @@ func TestRemoteMRFBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	one, err := central.Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for _, workers := range []int{1, 2, 3} {
 		addrs := startWorkers(t, workers, WorkerConfig{})
+		if workers == 2 {
+			// The one-shot Sample places its shards on the fleet too.
+			res, err := locsample.Sample(m,
+				locsample.WithRounds(rounds), locsample.WithSeed(seed),
+				locsample.WithShards(2), locsample.WithRemoteWorkers(addrs...))
+			if err != nil {
+				t.Fatalf("one-shot Sample on %d workers: %v", workers, err)
+			}
+			if !slices.Equal(res.Sample, one.Sample) {
+				t.Fatalf("one-shot Sample on %d workers diverges from centralized", workers)
+			}
+		}
 		s, err := locsample.NewSampler(m,
 			locsample.WithRounds(rounds), locsample.WithSeed(seed),
 			locsample.WithShards(4), locsample.WithRemoteWorkers(addrs...))

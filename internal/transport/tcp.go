@@ -76,8 +76,11 @@ type outLink struct {
 // inLink is a directed cross-process link this process receives on. The
 // reader goroutine checks seq continuity, decodes into a recycled
 // buffer from freeQ, and delivers on ch; Recv returns the previous
-// buffer to freeQ before taking the next, so the reader can run at most
-// two frames ahead — exactly the lockstep bound.
+// buffer to freeQ before taking the next. Lockstep lets the sender run
+// two frames past the one Recv last returned (round r+2 needs only our
+// round-r+1 frame), so three buffers — that one plus two in ch — mean
+// the reader never waits on this link while frames for the connection's
+// other links queue behind it.
 type inLink struct {
 	from, to int
 	conn     *tcpConn
@@ -177,7 +180,8 @@ func NewTCP(cfg TCPConfig) (*TCP, error) {
 				t.out[linkKey(s, j)] = l
 			}
 			if t.in[linkKey(j, s)] == nil {
-				l := &inLink{from: j, to: s, conn: conn, freeQ: make(chan []int, 2), ch: make(chan chanMsg, 2)}
+				l := &inLink{from: j, to: s, conn: conn, freeQ: make(chan []int, 3), ch: make(chan chanMsg, 2)}
+				l.freeQ <- nil
 				l.freeQ <- nil
 				l.freeQ <- nil
 				t.in[linkKey(j, s)] = l

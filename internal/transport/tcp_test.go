@@ -249,3 +249,67 @@ func TestTCPUnknownLink(t *testing.T) {
 		t.Fatalf("want LinkError, got %v", err)
 	}
 }
+
+// TestTCPReaderNoHeadOfLineBlock: one peer connection carries several
+// links, so its reader must never wait on one link's receiver while a
+// frame for another link queues behind it on the wire. Lockstep lets a
+// sender run two rounds past the frame its receiver last consumed: here
+// shard 2 (which only waits on shard 0) does so while shard 0 still
+// waits for shard 1's round-1 frame, sent after shard 2's round 2.
+func TestTCPReaderNoHeadOfLineBlock(t *testing.T) {
+	const jobID = 43
+	base := TCPConfig{
+		JobID:       jobID,
+		Assign:      []int{0, 1, 1},
+		Neighbors:   [][]int{{1, 2}, {0}, {0}},
+		DialTimeout: 5 * time.Second,
+		RecvTimeout: 2 * time.Second,
+	}
+	cfg0 := base
+	cfg0.Self = 0
+	cfg0.Addrs = []string{"", ""}
+	t0, err := NewTCP(cfg0)
+	if err != nil {
+		t.Fatalf("NewTCP(0): %v", err)
+	}
+	addr0 := startMeshListener(t, t0, jobID)
+	cfg1 := base
+	cfg1.Self = 1
+	cfg1.Addrs = []string{addr0, "127.0.0.1:0"}
+	t1, err := NewTCP(cfg1)
+	if err != nil {
+		t.Fatalf("NewTCP(1): %v", err)
+	}
+	t.Cleanup(func() { t0.Close(); t1.Close() })
+	if err := t1.Dial(); err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	if err := t0.Ready(5 * time.Second); err != nil {
+		t.Fatalf("proc 0 not ready: %v", err)
+	}
+
+	send := func(from, r int) {
+		if err := t1.Send(from, 0, r, []int{from, r}); err != nil {
+			t.Fatalf("send %d->0 round %d: %v", from, r, err)
+		}
+	}
+	recv := func(from, r int) {
+		got, err := t0.Recv(from, 0, r, 2)
+		if err != nil {
+			t.Fatalf("recv %d->0 round %d: %v", from, r, err)
+		}
+		if got[0] != from || got[1] != r {
+			t.Fatalf("recv %d->0 round %d: got %v", from, r, got)
+		}
+	}
+	send(1, 0)
+	send(2, 0)
+	recv(1, 0)
+	recv(2, 0)
+	send(2, 1)
+	send(2, 2)
+	send(1, 1)
+	recv(1, 1)
+	recv(2, 1)
+	recv(2, 2)
+}

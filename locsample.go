@@ -352,29 +352,24 @@ func WithCoupling(k int) Option {
 // configured seed and stops at coalescence, capped by what the fixed
 // budget would have been (CapRounds). A draw under the measured budget is
 // bit-identical to WithRounds(measured) at the same seed. Honored by
-// compiled samplers (NewSampler / NewCSPSampler); the one-shot Sample
-// routes through one.
+// compiled samplers (NewSampler / NewCSPSampler) and by the one-shot draws
+// that run on one: Sample, and SampleCSP/SampleCSPN outside distributed
+// mode.
 func WithRoundsAuto() Option {
 	return func(c *core.Config) { c.RoundsAuto = true }
 }
 
 // Sample draws one configuration approximately distributed as the model's
-// Gibbs distribution.
+// Gibbs distribution. It honors every NewSampler option: it compiles a
+// sampler, draws once with the WithSeed seed, and closes it, so it is
+// bit-identical to NewSampler(m, opts...).Sample().
 func Sample(m *Model, opts ...Option) (*Result, error) {
-	cfg := core.Config{Algorithm: chains.LocalMetropolis}
-	for _, opt := range opts {
-		opt(&cfg)
+	s, err := NewSampler(m, opts...)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.RoundsAuto {
-		// Measured budgets live in the compiled-sampler path; route there.
-		s, err := NewSampler(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		defer s.Close()
-		return s.Sample()
-	}
-	return core.Sample(m, cfg)
+	defer s.Close()
+	return s.Sample()
 }
 
 // TheoryRounds returns the paper's round bound for the model/algorithm pair

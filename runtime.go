@@ -228,18 +228,18 @@ func (rt *drawRuntime) compile() error {
 	return nil
 }
 
-// connect places a k-shard plan on the WithRemoteWorkers fleet. job
+// connect places a plan's shards on the WithRemoteWorkers fleet. job
 // carries the family's fields (kind, spec, algorithm); connect fills in
 // the rest from the compiled sampler.
-func (rt *drawRuntime) connect(k int, job remoteJob, owned [][]int32) error {
+func (rt *drawRuntime) connect(l *partition.Layout, job remoteJob) error {
 	job.shards, job.strategy, job.planSeed = rt.cfg.Shards, rt.cfg.ShardStrategy.String(), rt.cfg.Seed
 	job.init, job.addrs = rt.init, rt.cfg.WorkerAddrs
-	r, err := newRemoteEngine(job, owned, rt.n, resolveRetry(&rt.cfg), rt.cfg.StandbyAddrs)
+	r, err := newRemoteEngine(job, l, resolveRetry(&rt.cfg), rt.cfg.StandbyAddrs)
 	if err != nil {
 		return err
 	}
 	r.setObs(rt.cfg.Obs, rt.cfg.Log)
-	rt.remote, rt.shards = r, k
+	rt.remote, rt.shards = r, l.K
 	return nil
 }
 
