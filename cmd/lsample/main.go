@@ -29,6 +29,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -40,43 +41,49 @@ import (
 	"locsample"
 )
 
+var (
+	graphKind = flag.String("graph", "grid", "graph family: path|cycle|grid|torus|complete|star|hypercube|regular|gnp")
+	n         = flag.Int("n", 64, "vertex count (path/cycle/complete/star/regular/gnp)")
+	rows      = flag.Int("rows", 8, "grid/torus rows")
+	cols      = flag.Int("cols", 8, "grid/torus cols")
+	dim       = flag.Int("dim", 6, "hypercube dimension")
+	d         = flag.Int("d", 4, "regular-graph degree")
+	p         = flag.Float64("p", 0.1, "G(n,p) edge probability")
+	model     = flag.String("model", "coloring", "model: coloring|hardcore|is|vc|ising|potts|domset")
+	q         = flag.Int("q", 0, "colors / Potts states (default 3Δ+1 for coloring)")
+	lambda    = flag.Float64("lambda", 1, "hardcore fugacity")
+	beta      = flag.Float64("beta", 1.5, "Ising/Potts edge parameter")
+	field     = flag.Float64("h", 1, "Ising field")
+	algName   = flag.String("alg", "localmetropolis", "algorithm: glauber|lubyglauber|localmetropolis|scan|chromatic")
+	eps       = flag.Float64("eps", 0.05, "total-variation target for the automatic round budget")
+	roundsStr = flag.String("rounds", "", "round budget: an integer override, \"auto\" to measure it by coupling coalescence (the theory budget caps the search), or empty for theory")
+	seed      = flag.Uint64("seed", 1, "random seed")
+	distr     = flag.Bool("distributed", false, "run on the LOCAL-model runtime and report message stats")
+	count     = flag.Int("count", 1, "number of independent samples (batch engine when > 1)")
+	workers   = flag.Int("workers", 0, "worker goroutines for -count > 1 (0 = GOMAXPROCS)")
+	shards    = flag.Int("shards", 0, "shard workers per chain (sharded cluster runtime when > 1; MRF and CSP workloads alike; bit-identical output)")
+	parallel  = flag.Int("parallel", 0, "vertex-parallel goroutines per round phase (when > 1; MRF and CSP workloads alike; bit-identical output, exclusive with -shards)")
+	shardStr  = flag.String("shard-strategy", "range", "graph partitioner: range|bfs")
+	modelFile = flag.String("model-file", "", "load the workload from a JSON spec file (overrides -graph/-model flags)")
+	jsonOut   = flag.Bool("json", false, "emit the report and samples as JSON")
+	verbose   = flag.Bool("v", false, "print the full sample (text mode; JSON always includes samples)")
+	tracePath = flag.String("trace", "", "record the draw and write Chrome trace-event JSON to this file (single draws only; open in chrome://tracing or Perfetto; the traced draw is bit-identical to the untraced one)")
+	diag      = flag.Bool("diag", false, "run the draw as a coupled-chain diagnosed draw and report coalescence (single draws only; the sample is bit-identical to an undiagnosed draw)")
+)
+
+// rounds is an integer -rounds (0: the family's default budget) and
+// roundsAuto the -rounds auto spelling (a coupling-measured budget); both
+// are resolved once in main.
+var (
+	rounds     int
+	roundsAuto bool
+)
+
 func main() {
-	var (
-		graphKind = flag.String("graph", "grid", "graph family: path|cycle|grid|torus|complete|star|hypercube|regular|gnp")
-		n         = flag.Int("n", 64, "vertex count (path/cycle/complete/star/regular/gnp)")
-		rows      = flag.Int("rows", 8, "grid/torus rows")
-		cols      = flag.Int("cols", 8, "grid/torus cols")
-		dim       = flag.Int("dim", 6, "hypercube dimension")
-		d         = flag.Int("d", 4, "regular-graph degree")
-		p         = flag.Float64("p", 0.1, "G(n,p) edge probability")
-		model     = flag.String("model", "coloring", "model: coloring|hardcore|is|vc|ising|potts|domset")
-		q         = flag.Int("q", 0, "colors / Potts states (default 3Δ+1 for coloring)")
-		lambda    = flag.Float64("lambda", 1, "hardcore fugacity")
-		beta      = flag.Float64("beta", 1.5, "Ising/Potts edge parameter")
-		field     = flag.Float64("h", 1, "Ising field")
-		algName   = flag.String("alg", "localmetropolis", "algorithm: glauber|lubyglauber|localmetropolis|scan|chromatic")
-		eps       = flag.Float64("eps", 0.05, "total-variation target for the automatic round budget")
-		roundsStr = flag.String("rounds", "", "round budget: an integer override, \"auto\" to measure it by coupling coalescence (the theory budget caps the search), or empty for theory")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		distr     = flag.Bool("distributed", false, "run on the LOCAL-model runtime and report message stats")
-		count     = flag.Int("count", 1, "number of independent samples (batch engine when > 1)")
-		workers   = flag.Int("workers", 0, "worker goroutines for -count > 1 (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "shard workers per chain (sharded cluster runtime when > 1; MRF and CSP workloads alike; bit-identical output)")
-		parallel  = flag.Int("parallel", 0, "vertex-parallel goroutines per round phase (when > 1; MRF and CSP workloads alike; bit-identical output, exclusive with -shards)")
-		shardStr  = flag.String("shard-strategy", "range", "graph partitioner: range|bfs")
-		modelFile = flag.String("model-file", "", "load the workload from a JSON spec file (overrides -graph/-model flags)")
-		jsonOut   = flag.Bool("json", false, "emit the report and samples as JSON")
-		verbose   = flag.Bool("v", false, "print the full sample (text mode; JSON always includes samples)")
-		tracePath = flag.String("trace", "", "record the draw and write Chrome trace-event JSON to this file (single draws only; open in chrome://tracing or Perfetto; the traced draw is bit-identical to the untraced one)")
-		diag      = flag.Bool("diag", false, "run the draw as a coupled-chain diagnosed draw and report coalescence (single draws only; the sample is bit-identical to an undiagnosed draw)")
-	)
 	flag.Parse()
-	traceOut = *tracePath
-	diagOut = *diag
-	rounds := 0
 	switch v := strings.ToLower(strings.TrimSpace(*roundsStr)); v {
 	case "", "0":
-		// Theory budget (or each path's default).
+		// Theory budget (or each family's default).
 	case "auto":
 		roundsAuto = true
 	default:
@@ -86,63 +93,141 @@ func main() {
 		}
 		rounds = r
 	}
-	if traceOut != "" && *count > 1 {
+	if *tracePath != "" && *count > 1 {
 		fatal(fmt.Errorf("-trace records a single draw; it is not supported with -count > 1"))
 	}
-	if traceOut != "" && *distr {
+	if *tracePath != "" && *distr {
 		fatal(fmt.Errorf("-trace is not supported with -distributed (the LOCAL-model replay has no round kernel to time)"))
 	}
-	if diagOut && *count > 1 {
+	if *diag && *count > 1 {
 		fatal(fmt.Errorf("-diag diagnoses a single draw; it is not supported with -count > 1"))
 	}
-	if diagOut && *distr {
+	if *diag && *distr {
 		fatal(fmt.Errorf("-diag is not supported with -distributed (couplings run on the chain runtime, not the LOCAL-model replay)"))
 	}
-	if diagOut && traceOut != "" {
+	if *diag && *tracePath != "" {
 		fatal(fmt.Errorf("-diag and -trace are mutually exclusive (diagnosed draws record round series, not trace spans)"))
 	}
 	if roundsAuto && *distr {
 		fatal(fmt.Errorf("-rounds auto is not supported with -distributed"))
 	}
-
 	strat, err := locsample.ParseShardStrategy(*shardStr)
 	if err != nil {
 		fatal(err)
 	}
-	if *modelFile != "" {
-		runSpecFile(*modelFile, *algName, *eps, rounds, *seed, *distr, *count, *workers,
-			*shards, *parallel, strat, *jsonOut, *verbose)
-		return
-	}
 
-	g, err := buildGraph(*graphKind, *n, *rows, *cols, *dim, *d, *p, *seed)
-	if err != nil {
-		fatal(err)
-	}
-	if *model == "domset" {
-		c := locsample.NewWeightedDominatingSet(g, *lambda)
-		init := make([]int, g.N())
-		for i := range init {
-			init[i] = 1
+	var f family
+	if *modelFile != "" {
+		f = specFamily(*modelFile)
+	} else {
+		g, err := buildGraph(*graphKind, *n, *rows, *cols, *dim, *d, *p, *seed)
+		if err != nil {
+			fatal(err)
 		}
-		desc := fmt.Sprintf("dominating set λ=%g (weighted local CSP)", *lambda)
-		runCSP(g, c, init, desc, rounds, *seed, *distr, *count, *workers,
-			*shards, *parallel, strat, *jsonOut, *verbose, true)
-		return
+		if *model == "domset" {
+			c := locsample.NewWeightedDominatingSet(g, *lambda)
+			init := make([]int, g.N())
+			for i := range init {
+				init[i] = 1
+			}
+			f = cspFamily(g, c, init, fmt.Sprintf("dominating set λ=%g (weighted local CSP)", *lambda), rounds,
+				func(x []int) { fmt.Printf("dominating: %v  size=%d\n", g.IsDominatingSet(x), ones(x)) })
+		} else {
+			m, desc, err := buildModel(g, *model, *q, *lambda, *beta, *field)
+			if err != nil {
+				fatal(err)
+			}
+			f = mrfFamily(g, m, *graphKind, desc, *model)
+		}
 	}
-	m, modelDesc, err := buildModel(g, *model, *q, *lambda, *beta, *field)
-	if err != nil {
-		fatal(err)
-	}
-	runMRF(g, m, *graphKind, modelDesc, reportKeyForFlag(*model),
-		*algName, *eps, rounds, *seed, *distr, *count, *workers, *shards, *parallel, strat, *jsonOut, *verbose)
+	run(f, strat)
 }
 
-// runSpecFile loads a workload from a spec file and dispatches to the MRF
-// or CSP path.
-func runSpecFile(path, algName string, eps float64, rounds int, seed uint64,
-	distr bool, count, workers, shards, parallel int, strat locsample.ShardStrategy,
-	jsonOut, verbose bool) {
+// family is one model family's half of a run: the report header, the
+// compile options and compile function, and the validity report. The
+// draw and the report are shared: see run.
+type family struct {
+	g         *locsample.Graph
+	graphKind string // the report's graph kind ("csp" for CSP workloads)
+	desc      string // model description
+	alg       string // the chain, as the report names it
+	opts      []locsample.Option
+	compile   func(opts []locsample.Option) (drawer, error)
+	// valid prints one sample's validity verdict (nothing for models
+	// without one).
+	valid func(sample []int)
+}
+
+// drawer is what a run needs of a compiled sampler.
+type drawer interface {
+	Draw(ctx context.Context, req locsample.DrawRequest) (*locsample.Batch, error)
+	CapRounds() int
+	Close() error
+}
+
+// mrfFamily runs an MRF through NewSampler; reportKey picks its validity
+// report.
+func mrfFamily(g *locsample.Graph, m *locsample.Model, graphKind, desc, reportKey string) family {
+	alg, err := locsample.ParseAlgorithm(*algName)
+	if err != nil {
+		fatal(err)
+	}
+	opts := []locsample.Option{locsample.WithAlgorithm(alg), locsample.WithEpsilon(*eps)}
+	if rounds > 0 {
+		opts = append(opts, locsample.WithRounds(rounds))
+	}
+	if *distr {
+		opts = append(opts, locsample.Distributed())
+	}
+	return family{g: g, graphKind: graphKind, desc: desc, alg: alg.String(), opts: opts,
+		compile: func(opts []locsample.Option) (drawer, error) { return locsample.NewSampler(m, opts...) },
+		valid:   func(x []int) { report(g, reportKey, x) }}
+}
+
+// cspFamily runs a weighted local CSP through NewCSPSampler, or with
+// -distributed through SampleCSP's LOCAL-model runtime, for budget chain
+// iterations (200 when budget ≤ 0: CSPs have no theory budget).
+func cspFamily(g *locsample.Graph, c *locsample.CSPModel, init []int, desc string, budget int, valid func([]int)) family {
+	if budget <= 0 {
+		budget = 200
+	}
+	return family{g: g, graphKind: "csp", desc: desc, alg: "hypergraph lubyglauber",
+		opts: []locsample.Option{locsample.WithRounds(budget)},
+		compile: func(opts []locsample.Option) (drawer, error) {
+			if *distr {
+				return &localCSP{g: g, c: c, init: init, rounds: budget, opts: opts}, nil
+			}
+			return locsample.NewCSPSampler(g, c, init, opts...)
+		},
+		valid: valid}
+}
+
+// localCSP draws single CSP chains on the LOCAL-model runtime through
+// SampleCSP, since NewCSPSampler runs only the centralized replay.
+type localCSP struct {
+	g      *locsample.Graph
+	c      *locsample.CSPModel
+	init   []int
+	rounds int
+	opts   []locsample.Option
+}
+
+func (l *localCSP) Draw(_ context.Context, req locsample.DrawRequest) (*locsample.Batch, error) {
+	if req.K > 0 {
+		return nil, fmt.Errorf("-distributed is not supported with -count > 1 for CSP workloads (batch chains run the centralized replay)")
+	}
+	out, st, err := locsample.SampleCSP(l.g, l.c, l.init, l.rounds, req.Seed, true, l.opts...)
+	if err != nil {
+		return nil, err
+	}
+	return &locsample.Batch{Samples: [][]int{out}, Rounds: l.rounds, Stats: st}, nil
+}
+
+func (*localCSP) CapRounds() int { return 0 }
+func (*localCSP) Close() error   { return nil }
+
+// specFamily loads a workload from a JSON spec file.
+func specFamily(path string) family {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
@@ -159,42 +244,33 @@ func runSpecFile(path, algName string, eps float64, rounds int, seed uint64,
 	if s.Name != "" {
 		desc = fmt.Sprintf("spec %q %s (kind %s)", s.Name, shortHash(built.Hash), s.Model.Kind)
 	}
-	graphKind := s.Graph.Family
-	if graphKind == "" {
-		graphKind = "edges"
-	}
-	if built.CSP != nil {
-		if rounds <= 0 {
-			rounds = built.Rounds
-		}
-		// Adopt the spec's serving defaults, except where the user already
-		// picked a runtime (same precedence as the MRF path below).
-		if shards == 0 && parallel <= 1 && !distr {
-			shards = built.Shards
-		}
-		if parallel == 0 && shards <= 1 && !distr {
-			parallel = built.Parallel
-		}
-		runCSP(built.Graph, built.CSP, built.Init, desc, rounds, seed, distr, count, workers,
-			shards, parallel, strat, jsonOut, verbose, false)
-		return
-	}
 	// Adopt the spec's serving defaults, except where the user already
 	// picked a runtime: -distributed, -shards, and -parallel are mutually
 	// exclusive, and an explicit flag suppresses the defaults of the
 	// others (so -parallel on a spec whose default is shards runs
 	// parallel, and vice versa).
-	if shards == 0 && parallel <= 1 && !distr {
-		shards = built.Shards
+	if *shards == 0 && *parallel <= 1 && !*distr {
+		*shards = built.Shards
 	}
-	if parallel == 0 && shards <= 1 && !distr {
-		parallel = built.Parallel
+	if *parallel == 0 && *shards <= 1 && !*distr {
+		*parallel = built.Parallel
 	}
-	runMRF(built.Graph, built.Model, graphKind, desc, reportKeyForSpec(s.Model.Kind),
-		algName, eps, rounds, seed, distr, count, workers, shards, parallel, strat, jsonOut, verbose)
+	if c := built.CSP; c != nil {
+		budget := rounds
+		if budget <= 0 {
+			budget = built.Rounds
+		}
+		return cspFamily(built.Graph, c, built.Init, desc, budget,
+			func(x []int) { fmt.Printf("feasible: %v\n", c.Feasible(x)) })
+	}
+	graphKind := s.Graph.Family
+	if graphKind == "" {
+		graphKind = "edges"
+	}
+	return mrfFamily(built.Graph, built.Model, graphKind, desc, reportKeyForSpec(s.Model.Kind))
 }
 
-// jsonReport is the -json output shape, shared by all three paths.
+// jsonReport is the -json output shape.
 type jsonReport struct {
 	Graph struct {
 		Kind   string `json:"kind"`
@@ -218,147 +294,101 @@ type jsonReport struct {
 	Samples      [][]int               `json:"samples"`
 }
 
-func newJSONReport(g *locsample.Graph, kind, model, alg string, seed uint64) *jsonReport {
-	r := &jsonReport{Model: model, Algorithm: alg, Seed: seed}
-	r.Graph.Kind = kind
-	r.Graph.N = g.N()
-	r.Graph.M = g.M()
-	r.Graph.MaxDeg = g.MaxDeg()
-	return r
-}
-
-func emitJSON(r *jsonReport) {
-	enc := json.NewEncoder(os.Stdout)
-	if err := enc.Encode(r); err != nil {
-		fatal(err)
-	}
-}
-
-// runMRF handles single draws and batches of an MRF workload.
-func runMRF(g *locsample.Graph, m *locsample.Model, graphKind, modelDesc, reportKey,
-	algName string, eps float64, rounds int, seed uint64, distr bool,
-	count, workers, shards, parallel int, strat locsample.ShardStrategy, jsonOut, verbose bool) {
-	alg, err := parseAlg(algName)
-	if err != nil {
-		fatal(err)
-	}
-	opts := []locsample.Option{
-		locsample.WithAlgorithm(alg),
-		locsample.WithEpsilon(eps),
-		locsample.WithSeed(seed),
-	}
-	if rounds > 0 {
-		opts = append(opts, locsample.WithRounds(rounds))
-	}
+// run compiles f under the runtime flags, draws one chain seeded -seed
+// (plain, traced or diagnosed) or a -count batch, chain i seeded
+// ChainSeed(seed, i), and reports it.
+func run(f family, strat locsample.ShardStrategy) {
+	opts := append(f.opts, locsample.WithSeed(*seed))
 	if roundsAuto {
 		opts = append(opts, locsample.WithRoundsAuto())
 	}
-	if distr {
-		opts = append(opts, locsample.Distributed())
+	if *shards > 1 {
+		opts = append(opts, locsample.WithShards(*shards), locsample.WithShardStrategy(strat))
 	}
-	if shards > 1 {
-		opts = append(opts, locsample.WithShards(shards), locsample.WithShardStrategy(strat))
+	if *parallel > 1 {
+		opts = append(opts, locsample.WithParallelRounds(*parallel))
 	}
-	if parallel > 1 {
-		opts = append(opts, locsample.WithParallelRounds(parallel))
+	if *workers > 0 {
+		opts = append(opts, locsample.WithWorkers(*workers))
 	}
-
-	if count > 1 {
-		runBatch(g, m, graphKind, modelDesc, alg, count, workers, parallel, eps, seed, opts, jsonOut, verbose)
+	s, err := f.compile(opts)
+	if err != nil {
+		fatal(err)
+	}
+	defer s.Close()
+	req := locsample.DrawRequest{Seed: *seed, Trace: *tracePath != "", Diagnose: *diag}
+	if *count > 1 {
+		req.K = *count
+	}
+	start := time.Now()
+	b, err := s.Draw(context.Background(), req)
+	if err != nil {
+		fatal(err)
+	}
+	elapsed := time.Since(start)
+	if b.Trace != nil {
+		writeTraceFile(*tracePath, b.Trace)
+	}
+	g := f.g
+	if *jsonOut {
+		r := &jsonReport{Model: f.desc, Algorithm: f.alg, Rounds: b.Rounds, TheoryRounds: b.TheoryRounds,
+			Seed: *seed, Count: len(b.Samples), CapRounds: s.CapRounds(), Diagnosis: b.Diagnosis, Samples: b.Samples}
+		r.Graph.Kind, r.Graph.N, r.Graph.M, r.Graph.MaxDeg = f.graphKind, g.N(), g.M(), g.MaxDeg()
+		if req.K > 0 {
+			r.ElapsedMS = float64(elapsed.Nanoseconds()) / 1e6
+		}
+		if *distr {
+			r.Stats = &b.Stats
+		}
+		if b.Shard.Shards > 1 {
+			r.Shards, r.ShardStats = b.Shard.Shards, &b.Shard
+		}
+		if *parallel > 1 {
+			r.Parallel = *parallel
+		}
+		if err := json.NewEncoder(os.Stdout).Encode(r); err != nil {
+			fatal(err)
+		}
 		return
 	}
-
-	var (
-		res       *locsample.Result
-		diagnosis *locsample.Diagnosis
-		capRounds int
-	)
-	if traceOut != "" || diagOut || roundsAuto {
-		// Paths that need a Sampler: tracing, diagnosed draws, and auto
-		// budgets (CapRounds lives on the sampler, not the result).
-		s, err := locsample.NewSampler(m, opts...)
-		if err != nil {
-			fatal(err)
-		}
-		capRounds = s.CapRounds()
-		switch {
-		case diagOut:
-			res, diagnosis, err = s.SampleDiagnosed()
-		case traceOut != "":
-			var tr *locsample.Trace
-			res, tr, err = s.SampleTraced()
-			if err == nil {
-				writeTraceFile(traceOut, tr)
-			}
-		default:
-			res, err = s.Sample()
-		}
-		s.Close()
-		if err != nil {
-			fatal(err)
-		}
-	} else {
-		var err error
-		res, err = locsample.Sample(m, opts...)
-		if err != nil {
-			fatal(err)
-		}
-	}
-
-	if jsonOut {
-		r := newJSONReport(g, graphKind, modelDesc, alg.String(), seed)
-		r.Rounds = res.Rounds
-		r.TheoryRounds = res.TheoryRounds
-		r.Count = 1
-		r.CapRounds = capRounds
-		r.Diagnosis = diagnosis
-		if distr {
-			r.Stats = &res.Stats
-		}
-		if res.Shard != nil {
-			r.Shards = res.Shard.Shards
-			r.ShardStats = res.Shard
-		}
-		if parallel > 1 {
-			r.Parallel = parallel
-		}
-		r.Samples = [][]int{res.Sample}
-		emitJSON(r)
-		return
-	}
-	fmt.Printf("graph: %s  n=%d  m=%d  Δ=%d\n", graphKind, g.N(), g.M(), g.MaxDeg())
-	fmt.Printf("model: %s\n", modelDesc)
-	fmt.Printf("algorithm: %v  rounds=%d", alg, res.Rounds)
+	fmt.Printf("graph: %s  n=%d  m=%d  Δ=%d\n", f.graphKind, g.N(), g.M(), g.MaxDeg())
+	fmt.Printf("model: %s\n", f.desc)
+	fmt.Printf("algorithm: %s  rounds=%d", f.alg, b.Rounds)
 	switch {
 	case roundsAuto:
-		fmt.Printf("  (measured by coupling coalescence, cap %d)", capRounds)
-	case res.TheoryRounds > 0:
-		fmt.Printf("  (theory budget for ε=%g)", eps)
+		fmt.Printf("  (measured by coupling coalescence, cap %d)", s.CapRounds())
+	case b.TheoryRounds > 0:
+		fmt.Printf("  (theory budget for ε=%g)", *eps)
 	}
 	fmt.Println()
-	if diagnosis != nil {
-		printDiagnosis(diagnosis)
+	scope := ""
+	if req.K > 0 {
+		scope = " (all chains)"
+		fmt.Printf("batch: %d samples in %v  (%.1f samples/sec)\n",
+			req.K, elapsed.Round(time.Millisecond), float64(req.K)/elapsed.Seconds())
 	}
-	if distr {
-		fmt.Printf("communication: %d messages, %d bytes total, max message %d bytes\n",
-			res.Stats.Messages, res.Stats.Bytes, res.Stats.MaxMessageBytes)
+	if b.Diagnosis != nil {
+		printDiagnosis(b.Diagnosis)
 	}
-	if res.Shard != nil {
-		printShardStats(res.Shard)
+	if st := b.Stats; *distr {
+		fmt.Printf("communication%s: %d LOCAL rounds, %d messages, %d bytes total, max message %d bytes\n",
+			scope, st.Rounds, st.Messages, st.Bytes, st.MaxMessageBytes)
 	}
-	if parallel > 1 {
-		fmt.Printf("parallel rounds: %d goroutines per phase\n", parallel)
+	if st := b.Shard; st.Shards > 1 {
+		fmt.Printf("sharding: %d shards, %d boundary messages (%d states), barrier wait %.2fms\n",
+			st.Shards, st.BoundaryMessages, st.BoundaryValues, float64(st.BarrierWaitNS)/1e6)
 	}
-	report(g, reportKey, res.Sample)
-	if verbose {
-		fmt.Printf("sample: %v\n", res.Sample)
+	if *parallel > 1 {
+		fmt.Printf("parallel rounds: %d goroutines per phase\n", *parallel)
 	}
-}
-
-// printShardStats reports the sharded runtime's profile in text mode.
-func printShardStats(st *locsample.ShardStats) {
-	fmt.Printf("sharding: %d shards, %d boundary messages (%d states), barrier wait %.2fms\n",
-		st.Shards, st.BoundaryMessages, st.BoundaryValues, float64(st.BarrierWaitNS)/1e6)
+	f.valid(b.Samples[len(b.Samples)-1])
+	if *verbose && req.K == 0 {
+		fmt.Printf("sample: %v\n", b.Samples[0])
+	} else if *verbose {
+		for i, x := range b.Samples {
+			fmt.Printf("sample %d: %v\n", i, x)
+		}
+	}
 }
 
 func buildGraph(kind string, n, rows, cols, dim, d int, p float64, seed uint64) (*locsample.Graph, error) {
@@ -418,26 +448,6 @@ func safeLambdaC(maxDeg int) float64 {
 	return locsample.HardcoreUniquenessThreshold(maxDeg)
 }
 
-func parseAlg(s string) (locsample.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "glauber":
-		return locsample.Glauber, nil
-	case "lubyglauber", "luby":
-		return locsample.LubyGlauber, nil
-	case "localmetropolis", "lm":
-		return locsample.LocalMetropolis, nil
-	case "scan":
-		return locsample.SystematicScan, nil
-	case "chromatic":
-		return locsample.ChromaticGlauber, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q", s)
-	}
-}
-
-// reportKeyForFlag maps a -model flag value to a validity-report key.
-func reportKeyForFlag(model string) string { return model }
-
 // reportKeyForSpec maps a spec model kind to the same report keys.
 func reportKeyForSpec(kind string) string {
 	switch kind {
@@ -456,22 +466,15 @@ func reportKeyForSpec(kind string) string {
 	}
 }
 
+// report prints an MRF sample's validity verdict under a report key.
 func report(g *locsample.Graph, key string, sample []int) {
 	switch key {
 	case "coloring":
 		fmt.Printf("proper coloring: %v\n", g.IsProperColoring(sample))
 	case "hardcore", "is":
-		size := 0
-		for _, s := range sample {
-			size += s
-		}
-		fmt.Printf("independent set: %v  size=%d\n", g.IsIndependentSet(sample), size)
+		fmt.Printf("independent set: %v  size=%d\n", g.IsIndependentSet(sample), ones(sample))
 	case "vc":
-		size := 0
-		for _, s := range sample {
-			size += s
-		}
-		fmt.Printf("vertex cover: %v  size=%d\n", g.IsVertexCover(sample), size)
+		fmt.Printf("vertex cover: %v  size=%d\n", g.IsVertexCover(sample), ones(sample))
 	case "ising", "potts":
 		counts := map[int]int{}
 		for _, s := range sample {
@@ -481,280 +484,21 @@ func report(g *locsample.Graph, key string, sample []int) {
 	}
 }
 
+// ones counts the vertices a 0/1 sample selects.
+func ones(sample []int) int {
+	size := 0
+	for _, x := range sample {
+		size += x
+	}
+	return size
+}
+
 func shortHash(h string) string {
 	if i := strings.IndexByte(h, ':'); i >= 0 && len(h) > i+13 {
 		return h[:i+13]
 	}
 	return h
 }
-
-// runBatch draws count samples through the batch engine and reports
-// throughput.
-func runBatch(g *locsample.Graph, m *locsample.Model, graphKind, modelDesc string,
-	alg locsample.Algorithm, count, workers, parallel int, eps float64, seed uint64,
-	opts []locsample.Option, jsonOut, verbose bool) {
-	if workers > 0 {
-		opts = append(opts, locsample.WithWorkers(workers))
-	}
-	s, err := locsample.NewSampler(m, opts...)
-	if err != nil {
-		fatal(err)
-	}
-	start := time.Now()
-	batch, err := s.SampleN(count)
-	if err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-	if jsonOut {
-		r := newJSONReport(g, graphKind, modelDesc, alg.String(), seed)
-		r.Rounds = batch.Rounds
-		r.TheoryRounds = batch.TheoryRounds
-		r.Count = count
-		r.ElapsedMS = float64(elapsed.Nanoseconds()) / 1e6
-		if batch.Stats.Messages > 0 {
-			r.Stats = &batch.Stats
-		}
-		if batch.Shard.Shards > 1 {
-			r.Shards = batch.Shard.Shards
-			r.ShardStats = &batch.Shard
-		}
-		if parallel > 1 {
-			r.Parallel = parallel
-		}
-		r.Samples = batch.Samples
-		emitJSON(r)
-		return
-	}
-	fmt.Printf("graph: %s  n=%d  m=%d  Δ=%d\n", graphKind, g.N(), g.M(), g.MaxDeg())
-	fmt.Printf("model: %s\n", modelDesc)
-	fmt.Printf("algorithm: %v  rounds=%d", alg, batch.Rounds)
-	if batch.TheoryRounds > 0 {
-		fmt.Printf("  (theory budget for ε=%g)", eps)
-	}
-	fmt.Println()
-	fmt.Printf("batch: %d samples in %v  (%.1f samples/sec)\n",
-		count, elapsed.Round(time.Millisecond), float64(count)/elapsed.Seconds())
-	if batch.Stats.Messages > 0 {
-		fmt.Printf("communication (all chains): %d messages, %d bytes total, max message %d bytes\n",
-			batch.Stats.Messages, batch.Stats.Bytes, batch.Stats.MaxMessageBytes)
-	}
-	if batch.Shard.Shards > 1 {
-		printShardStats(&batch.Shard)
-	}
-	if parallel > 1 {
-		fmt.Printf("parallel rounds: %d goroutines per phase\n", parallel)
-	}
-	if verbose {
-		for i, sample := range batch.Samples {
-			fmt.Printf("sample %d: %v\n", i, sample)
-		}
-	}
-}
-
-// runCSP handles weighted-CSP workloads (the -model domset flag and CSP
-// specs), which go through the CSP engine rather than Sample. With
-// -count > 1 it uses the CSP batch engine: chain i is bit-identical to a
-// single draw with seed ChainSeed(seed, i), the same contract as MRF
-// batches. -shards runs every chain on the sharded cluster runtime over
-// constraint-scope halos and -parallel fans round phases over goroutines —
-// both bit-identical to the sequential chain. domset gates the
-// dominating-set verdict: it is meaningful only for the domset flag path,
-// not for arbitrary q=2 CSP specs.
-func runCSP(g *locsample.Graph, c *locsample.CSPModel, init []int, modelDesc string,
-	rounds int, seed uint64, distr bool, count, workers, shards, parallel int,
-	strat locsample.ShardStrategy, jsonOut, verbose, domset bool) {
-	if rounds <= 0 {
-		rounds = 200
-	}
-	var opts []locsample.Option
-	if roundsAuto {
-		opts = append(opts, locsample.WithRoundsAuto())
-	}
-	if shards > 1 {
-		opts = append(opts, locsample.WithShards(shards), locsample.WithShardStrategy(strat))
-	}
-	if parallel > 1 {
-		opts = append(opts, locsample.WithParallelRounds(parallel))
-	}
-	if count > 1 {
-		if distr {
-			fatal(fmt.Errorf("-distributed is not supported with -count > 1 for CSP workloads (batch chains run the centralized replay)"))
-		}
-		runCSPBatch(g, c, init, modelDesc, rounds, seed, count, workers, parallel, opts, jsonOut, verbose, domset)
-		return
-	}
-	if distr {
-		out, stats, err := locsample.SampleCSP(g, c, init, rounds, seed, true, opts...)
-		if err != nil {
-			fatal(err)
-		}
-		if jsonOut {
-			r := newJSONReport(g, "", modelDesc, "hypergraph lubyglauber", seed)
-			r.Graph.Kind = "csp"
-			r.Rounds = rounds
-			r.Count = 1
-			r.Stats = &stats
-			r.Samples = [][]int{out}
-			emitJSON(r)
-			return
-		}
-		fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDeg())
-		fmt.Printf("model: %s\n", modelDesc)
-		fmt.Printf("algorithm: hypergraph LubyGlauber, %d chain iterations\n", rounds)
-		fmt.Printf("communication: %d LOCAL rounds, %d messages, max message %d bytes\n",
-			stats.Rounds, stats.Messages, stats.MaxMessageBytes)
-		reportCSP(g, c, out, domset)
-		if verbose {
-			fmt.Printf("sample: %v\n", out)
-		}
-		return
-	}
-	s, err := locsample.NewCSPSampler(g, c, init,
-		append([]locsample.Option{locsample.WithRounds(rounds), locsample.WithSeed(seed)}, opts...)...)
-	if err != nil {
-		fatal(err)
-	}
-	var (
-		out        []int
-		shardStats *locsample.ShardStats
-		diagnosis  *locsample.Diagnosis
-	)
-	capRounds := s.CapRounds()
-	drawRounds := s.Rounds()
-	if diagOut {
-		if out, diagnosis, err = s.SampleDiagnosed(); err != nil {
-			fatal(err)
-		}
-	} else if traceOut != "" {
-		var tr *locsample.Trace
-		out, shardStats, tr, err = s.SampleTraced()
-		if err != nil {
-			fatal(err)
-		}
-		writeTraceFile(traceOut, tr)
-	} else if out, shardStats, err = s.Sample(); err != nil {
-		fatal(err)
-	}
-	if jsonOut {
-		r := newJSONReport(g, "", modelDesc, "hypergraph lubyglauber", seed)
-		r.Graph.Kind = "csp"
-		r.Rounds = drawRounds
-		r.Count = 1
-		r.CapRounds = capRounds
-		r.Diagnosis = diagnosis
-		if shardStats != nil {
-			r.Shards = shardStats.Shards
-			r.ShardStats = shardStats
-		}
-		if parallel > 1 {
-			r.Parallel = parallel
-		}
-		r.Samples = [][]int{out}
-		emitJSON(r)
-		return
-	}
-	fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDeg())
-	fmt.Printf("model: %s\n", modelDesc)
-	fmt.Printf("algorithm: hypergraph LubyGlauber, %d chain iterations", drawRounds)
-	if roundsAuto {
-		fmt.Printf("  (measured by coupling coalescence, cap %d)", capRounds)
-	}
-	fmt.Println()
-	if diagnosis != nil {
-		printDiagnosis(diagnosis)
-	}
-	if shardStats != nil {
-		printShardStats(shardStats)
-	}
-	if parallel > 1 {
-		fmt.Printf("parallel rounds: %d goroutines per phase\n", parallel)
-	}
-	reportCSP(g, c, out, domset)
-	if verbose {
-		fmt.Printf("sample: %v\n", out)
-	}
-}
-
-// runCSPBatch draws count CSP samples through the worker-pool batch engine
-// and reports throughput, mirroring runBatch for MRFs.
-func runCSPBatch(g *locsample.Graph, c *locsample.CSPModel, init []int, modelDesc string,
-	rounds int, seed uint64, count, workers, parallel int,
-	opts []locsample.Option, jsonOut, verbose, domset bool) {
-	sopts := append([]locsample.Option{locsample.WithRounds(rounds), locsample.WithSeed(seed)}, opts...)
-	if workers > 0 {
-		sopts = append(sopts, locsample.WithWorkers(workers))
-	}
-	s, err := locsample.NewCSPSampler(g, c, init, sopts...)
-	if err != nil {
-		fatal(err)
-	}
-	start := time.Now()
-	batch, err := s.SampleNFrom(seed, count)
-	if err != nil {
-		fatal(err)
-	}
-	elapsed := time.Since(start)
-	samples := batch.Samples
-	if jsonOut {
-		r := newJSONReport(g, "", modelDesc, "hypergraph lubyglauber", seed)
-		r.Graph.Kind = "csp"
-		r.Rounds = rounds
-		r.Count = count
-		r.ElapsedMS = float64(elapsed.Nanoseconds()) / 1e6
-		if batch.Shard.Shards > 1 {
-			r.Shards = batch.Shard.Shards
-			r.ShardStats = &batch.Shard
-		}
-		if parallel > 1 {
-			r.Parallel = parallel
-		}
-		r.Samples = samples
-		emitJSON(r)
-		return
-	}
-	fmt.Printf("graph: n=%d m=%d Δ=%d\n", g.N(), g.M(), g.MaxDeg())
-	fmt.Printf("model: %s\n", modelDesc)
-	fmt.Printf("algorithm: hypergraph LubyGlauber, %d chain iterations\n", rounds)
-	fmt.Printf("batch: %d samples in %v  (%.1f samples/sec)\n",
-		count, elapsed.Round(time.Millisecond), float64(count)/elapsed.Seconds())
-	if batch.Shard.Shards > 1 {
-		printShardStats(&batch.Shard)
-	}
-	if parallel > 1 {
-		fmt.Printf("parallel rounds: %d goroutines per phase\n", parallel)
-	}
-	if verbose {
-		for i, out := range samples {
-			fmt.Printf("sample %d: %v\n", i, out)
-		}
-	}
-	reportCSP(g, c, samples[len(samples)-1], domset)
-}
-
-// reportCSP prints the validity verdict for one CSP sample.
-func reportCSP(g *locsample.Graph, c *locsample.CSPModel, out []int, domset bool) {
-	if domset {
-		size := 0
-		for _, x := range out {
-			size += x
-		}
-		fmt.Printf("dominating: %v  size=%d\n", g.IsDominatingSet(out), size)
-	} else {
-		fmt.Printf("feasible: %v\n", c.Feasible(out))
-	}
-}
-
-// traceOut is the -trace flag: a path to write the single draw's Chrome
-// trace-event JSON to ("" = tracing off). diagOut is the -diag flag
-// (diagnosed draw with coalescence report) and roundsAuto the
-// -rounds auto spelling (coupling-measured round budget); all three are
-// resolved once in main.
-var (
-	traceOut   string
-	diagOut    bool
-	roundsAuto bool
-)
 
 // printDiagnosis reports a diagnosed draw's coalescence verdict in text
 // mode.

@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -1015,7 +1016,7 @@ func diagSuite(rep *Report, quick bool) {
 		res := testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := s.SampleDiagnosedFrom(uint64(i)); err != nil {
+				if _, err := s.Draw(context.Background(), locsample.DrawRequest{Seed: uint64(i), Diagnose: true}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -32,14 +32,14 @@ func TestSampleContextCanceledBeforeStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := s.SampleContext(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d: SampleContext = %v, want context.Canceled", shards, err)
+		if _, err := s.Draw(ctx, locsample.DrawRequest{Seed: 3}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: single Draw = %v, want context.Canceled", shards, err)
 		}
-		if _, err := s.SampleNContext(ctx, 3, 2); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d: SampleNContext = %v, want context.Canceled", shards, err)
+		if _, err := s.Draw(ctx, locsample.DrawRequest{Seed: 3, K: 2}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: batch Draw = %v, want context.Canceled", shards, err)
 		}
-		if _, _, err := s.SampleTracedContext(ctx, 3); !errors.Is(err, context.Canceled) {
-			t.Fatalf("shards=%d: SampleTracedContext = %v, want context.Canceled", shards, err)
+		if _, err := s.Draw(ctx, locsample.DrawRequest{Seed: 3, Trace: true}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("shards=%d: traced Draw = %v, want context.Canceled", shards, err)
 		}
 		s.Close()
 	}
@@ -58,11 +58,11 @@ func TestSampleContextCanceledBeforeStart(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, err := s.SampleContext(ctx); !errors.Is(err, context.Canceled) {
-			t.Fatalf("csp shards=%d: SampleContext = %v, want context.Canceled", shards, err)
+		if _, err := s.Draw(ctx, locsample.DrawRequest{Seed: 3}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("csp shards=%d: single Draw = %v, want context.Canceled", shards, err)
 		}
-		if _, err := s.SampleNContext(ctx, 3, 2); !errors.Is(err, context.Canceled) {
-			t.Fatalf("csp shards=%d: SampleNContext = %v, want context.Canceled", shards, err)
+		if _, err := s.Draw(ctx, locsample.DrawRequest{Seed: 3, K: 2}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("csp shards=%d: batch Draw = %v, want context.Canceled", shards, err)
 		}
 		s.Close()
 	}
@@ -85,7 +85,7 @@ func TestSampleContextBackgroundBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	withCtx, err := s.SampleNContext(ctx, 11, 2)
+	withCtx, err := s.Draw(ctx, locsample.DrawRequest{Seed: 11, K: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestSampleContextBackgroundBitIdentical(t *testing.T) {
 	// must never be returned to the pool.
 	canceled, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, err := s.SampleNContext(canceled, 11, 2); !errors.Is(err, context.Canceled) {
+	if _, err := s.Draw(canceled, locsample.DrawRequest{Seed: 11, K: 2}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled batch = %v, want context.Canceled", err)
 	}
 	again, err := s.SampleNFrom(11, 2)

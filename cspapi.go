@@ -114,84 +114,16 @@ func newCSPSampler(g *Graph, c *CSPModel, init []int, cfg core.Config) (*CSPSamp
 	return s, nil
 }
 
-// CSPBatch is the result of a CSP batch draw: a Batch whose TheoryRounds
-// and Stats stay zero (CSPs have no theory budget, and batches never run
-// the LOCAL-model runtime).
-type CSPBatch = Batch
-
 // Sample draws one configuration with the compiled settings and the master
-// seed, exactly as the package-level SampleCSP would.
+// seed, exactly as the package-level SampleCSP would: Draw with
+// DrawRequest{Seed: WithSeed's seed}. The shard profile is nil for an
+// unsharded draw.
 func (s *CSPSampler) Sample() ([]int, *ShardStats, error) {
-	return s.SampleContext(context.Background())
-}
-
-// SampleContext is Sample under a context: a canceled ctx aborts the
-// draw (coordinator connections are closed, sharded engines torn down,
-// centralized chains stop at the next round boundary) and returns
-// ctx.Err(). Cancellation never yields a partial sample.
-func (s *CSPSampler) SampleContext(ctx context.Context) ([]int, *ShardStats, error) {
-	return s.draw(ctx, s.cfg.Seed, nil)
-}
-
-// SampleTraced draws one configuration exactly like Sample while
-// recording a timing trace; see Sampler.SampleTraced for the span
-// layout. The sample is bit-identical to an untraced draw.
-func (s *CSPSampler) SampleTraced() ([]int, *ShardStats, *Trace, error) {
-	return s.SampleTracedFrom(s.cfg.Seed)
-}
-
-// SampleTracedFrom is SampleTraced with an explicit seed.
-func (s *CSPSampler) SampleTracedFrom(seed uint64) ([]int, *ShardStats, *Trace, error) {
-	return s.SampleTracedContext(context.Background(), seed)
-}
-
-// SampleTracedContext is SampleTracedFrom under a context; a canceled
-// ctx aborts the draw exactly as in SampleContext and returns
-// ctx.Err().
-func (s *CSPSampler) SampleTracedContext(ctx context.Context, seed uint64) ([]int, *ShardStats, *Trace, error) {
-	return s.drawTraced(ctx, seed)
-}
-
-// SampleDiagnosed draws one configuration exactly like Sample while
-// running a grand coupling alongside it; see Sampler.SampleDiagnosed for
-// the contract. The sample is bit-identical to an undiagnosed draw at
-// the same seed. Diagnosed CSP draws run centralized and sequential.
-func (s *CSPSampler) SampleDiagnosed() ([]int, *Diagnosis, error) {
-	return s.diagnose(s.cfg.Seed, nil)
-}
-
-// SampleDiagnosedFrom is SampleDiagnosed with an explicit master seed.
-func (s *CSPSampler) SampleDiagnosedFrom(seed uint64) ([]int, *Diagnosis, error) {
-	return s.diagnose(seed, nil)
-}
-
-// SampleDiagnosedObserved is SampleDiagnosedFrom with a per-round probe —
-// the live-streaming seam. The probe runs on the round hot path; see
-// CouplingProbe for the contract.
-func (s *CSPSampler) SampleDiagnosedObserved(seed uint64, probe CouplingProbe) ([]int, *Diagnosis, error) {
-	return s.diagnose(seed, probe)
-}
-
-// SampleN draws k independent samples concurrently with the compiled master
-// seed; see SampleNFrom.
-func (s *CSPSampler) SampleN(k int) (*CSPBatch, error) {
-	return s.SampleNFrom(s.cfg.Seed, k)
-}
-
-// SampleNFrom draws k independent samples concurrently; chain i runs with
-// seed ChainSeed(seed, i). It does not mutate the sampler, so concurrent
-// calls (the serving path) are safe.
-func (s *CSPSampler) SampleNFrom(seed uint64, k int) (*CSPBatch, error) {
-	return s.SampleNContext(context.Background(), seed, k)
-}
-
-// SampleNContext is SampleNFrom under a context: a canceled ctx stops
-// workers from claiming further chains, aborts in-flight ones (sharded
-// engines are closed and discarded; centralized chains stop at the next
-// round boundary), and returns ctx.Err(). A canceled batch never
-// returns partial samples.
-func (s *CSPSampler) SampleNContext(ctx context.Context, seed uint64, k int) (*CSPBatch, error) {
-	return s.sampleN(ctx, seed, k)
+	b, err := s.Draw(context.Background(), DrawRequest{Seed: s.cfg.Seed})
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.Samples[0], b.shard(), nil
 }
 
 // SampleCSP draws one configuration approximately distributed as the CSP's

@@ -1,8 +1,11 @@
 package locsample
 
-import "testing"
+import (
+	"context"
+	"testing"
+)
 
-// The diagnosed-draw pins: SampleDiagnosed is Sample plus a mixing
+// The diagnosed-draw pins: a diagnosed Draw is Sample plus a mixing
 // report, never a different draw. Chain 0 of the coupling IS the chain
 // that produces the sample, so at the same seed the two must be
 // bit-identical — centralized, sharded, MRF and CSP alike.
@@ -27,15 +30,16 @@ func TestSampleDiagnosedBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, diag, err := s.SampleDiagnosed()
+			b, err := s.Draw(context.Background(), DrawRequest{Seed: 42, Diagnose: true})
 			if err != nil {
 				t.Fatal(err)
 			}
+			res, diag := b.Samples[0], b.Diagnosis
 			if diag == nil || diag.Chains < 2 || diag.Rounds != s.Rounds() {
 				t.Fatalf("bad diagnosis: %+v", diag)
 			}
 			for v := range plain.Sample {
-				if plain.Sample[v] != res.Sample[v] {
+				if plain.Sample[v] != res[v] {
 					t.Fatalf("diagnosed draw diverged from plain draw at vertex %d", v)
 				}
 			}
@@ -119,10 +123,11 @@ func TestCSPSampleDiagnosedBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, diag, err := s.SampleDiagnosed()
+	b, err := s.Draw(context.Background(), DrawRequest{Seed: 13, Diagnose: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out, diag := b.Samples[0], b.Diagnosis
 	if diag == nil || diag.Rounds != s.Rounds() {
 		t.Fatalf("bad diagnosis: %+v", diag)
 	}

@@ -4,13 +4,11 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sync/atomic"
-	"time"
+	"strings"
 
 	"locsample/internal/chains"
 	"locsample/internal/cluster"
 	"locsample/internal/core"
-	"locsample/internal/obs"
 	"locsample/internal/partition"
 )
 
@@ -52,7 +50,31 @@ const (
 	ShardBFS = partition.BFS
 )
 
-// Batch is the result of SampleN: k independent samples drawn from one
+// DrawRequest names one draw of a compiled sampler; Sampler.Draw and
+// CSPSampler.Draw serve every request shape. No observation a request
+// asks for changes the samples: a traced or diagnosed draw returns the
+// bytes of a plain draw at the same seed.
+type DrawRequest struct {
+	// Seed is the master seed.
+	Seed uint64
+	// K is the number of chains. K ≥ 1 runs chain i at ChainSeed(Seed, i),
+	// as SampleNFrom does; K = 0 runs one chain seeded Seed itself, as
+	// Sample does.
+	K int
+	// Trace records the draw's per-round spans into Batch.Trace: compute
+	// (and, sharded, barrier) spans per shard lane, per-worker wire
+	// attribution for remote draws, and one draw-level span. Diagnose runs
+	// a grand coupling alongside the draw and returns Batch.Diagnosis; the
+	// coupling runs centralized and sequential, for the full compiled
+	// budget, and chain 0 of it is the draw. Each needs K ≤ 1, and the two
+	// exclude each other.
+	Trace, Diagnose bool
+	// Probe observes a diagnosed draw's coupling live, one call per round
+	// (nil: none). It runs on the round hot path; see CouplingProbe.
+	Probe CouplingProbe
+}
+
+// Batch is the result of a draw: k independent samples drawn from one
 // compiled model. All samples share one flat backing array.
 type Batch struct {
 	// Samples[i] is chain i's output configuration.
@@ -74,6 +96,21 @@ type Batch struct {
 	// through (0 when chains ran the per-chain reference path). Purely
 	// informational: the samples are bit-identical either way.
 	SoAWidth int
+	// Trace is the timing trace of a DrawRequest.Trace draw (nil
+	// otherwise); Trace.WriteChrome renders it for chrome://tracing and
+	// Perfetto.
+	Trace *Trace
+	// Diagnosis is the mixing report of a DrawRequest.Diagnose draw (nil
+	// otherwise).
+	Diagnosis *Diagnosis
+}
+
+// shard returns the batch's shard profile, or nil for an unsharded draw.
+func (b *Batch) shard() *ShardStats {
+	if b.Shard.Shards == 0 {
+		return nil
+	}
+	return &b.Shard
 }
 
 // ChainSeed derives the seed batch chain i runs with under master seed s:
@@ -131,6 +168,27 @@ func ParseShardStrategy(s string) (ShardStrategy, error) {
 	return partition.ParseStrategy(s)
 }
 
+// ParseAlgorithm maps a wire or flag name to a chain, case-insensitively:
+// "glauber", "lubyglauber" (or "luby"), "localmetropolis" (or "lm", or ""
+// for the default), "scan" (or "systematicscan"), and "chromatic" (or
+// "chromaticglauber"). Algorithm.String names parse back to themselves.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	switch strings.ToLower(s) {
+	case "glauber":
+		return Glauber, nil
+	case "lubyglauber", "luby":
+		return LubyGlauber, nil
+	case "localmetropolis", "lm", "":
+		return LocalMetropolis, nil
+	case "scan", "systematicscan":
+		return SystematicScan, nil
+	case "chromatic", "chromaticglauber":
+		return ChromaticGlauber, nil
+	default:
+		return 0, fmt.Errorf("locsample: unknown algorithm %q", s)
+	}
+}
+
 // NewSampler compiles model m with the given options into a reusable batch
 // sampler. The round budget, the greedy feasible initial configuration,
 // and (when sharded) the partition plan are resolved once, here; they are
@@ -153,6 +211,9 @@ func NewSampler(m *Model, opts ...Option) (*Sampler, error) {
 		n: m.G.N(), init: init, rounds: rounds, theory: theory}}
 	if err := s.compile(); err != nil {
 		return nil, err
+	}
+	if cfg.Distributed {
+		s.replay = s.runLOCAL
 	}
 	if cfg.Shards > 1 {
 		plan, err := partition.Build(m.G, cfg.Shards, cfg.ShardStrategy, cfg.Seed)
@@ -188,37 +249,20 @@ func NewSampler(m *Model, opts ...Option) (*Sampler, error) {
 func (s *Sampler) TheoryRounds() int { return s.theory }
 
 // Sample draws one configuration with the compiled settings and the master
-// seed, exactly as the package-level Sample would.
+// seed, exactly as the package-level Sample would: Draw with
+// DrawRequest{Seed: WithSeed's seed}.
 func (s *Sampler) Sample() (*Result, error) {
-	return s.sampleWithSeed(context.Background(), s.cfg.Seed)
-}
-
-// SampleContext is Sample under a context: a cancel or deadline aborts
-// the draw — remote draws unblock their control reads and stop
-// retrying, sharded draws close their engine, centralized chains stop
-// at the next round boundary — and ctx.Err() is returned. Cancellation
-// never yields a partial sample.
-func (s *Sampler) SampleContext(ctx context.Context) (*Result, error) {
-	return s.sampleWithSeed(ctx, s.cfg.Seed)
-}
-
-// result wraps a draw's sample with the compiled budgets.
-func (s *Sampler) result(out []int, st *ShardStats) *Result {
-	return &Result{Sample: out, Rounds: s.rounds, TheoryRounds: s.theory, Shard: st}
-}
-
-func (s *Sampler) sampleWithSeed(ctx context.Context, seed uint64) (*Result, error) {
-	if !s.cfg.Distributed {
-		out, st, err := s.draw(ctx, seed, nil)
-		if err != nil {
-			return nil, err
-		}
-		return s.result(out, st), nil
-	}
-	start := time.Now()
-	if err := ctxErr(ctx); err != nil {
+	b, err := s.Draw(context.Background(), DrawRequest{Seed: s.cfg.Seed})
+	if err != nil {
 		return nil, err
 	}
+	return &Result{Sample: b.Samples[0], Rounds: b.Rounds, TheoryRounds: b.TheoryRounds,
+		Stats: b.Stats, Shard: b.shard()}, nil
+}
+
+// runLOCAL runs one chain at seed into out on the LOCAL-model runtime,
+// the message-passing protocol a Distributed sampler draws with.
+func (s *Sampler) runLOCAL(seed uint64, out []int) (Stats, error) {
 	cfg := s.cfg
 	cfg.Seed = seed
 	cfg.Rounds = s.rounds // measured count when auto; core re-resolves nothing
@@ -226,142 +270,8 @@ func (s *Sampler) sampleWithSeed(ctx context.Context, seed uint64) (*Result, err
 	cfg.Init = s.init
 	res, err := core.Sample(s.m, cfg)
 	if err != nil {
-		return nil, err
+		return Stats{}, err
 	}
-	if cerr := ctxErr(ctx); cerr != nil {
-		return nil, cerr
-	}
-	res.TheoryRounds = s.theory
-	s.observeDraw(start, 1)
-	return res, nil
-}
-
-// SampleTraced draws one configuration exactly like Sample while
-// recording a timing trace: per-round compute (and, for sharded
-// draws, barrier) spans per shard lane, plus per-worker wire
-// attribution when the draw runs on remote workers. Tracing never
-// perturbs the trajectory — the sample is bit-identical to an
-// untraced draw at the same seed. Render the trace with
-// Trace.WriteChrome for chrome://tracing / Perfetto.
-func (s *Sampler) SampleTraced() (*Result, *Trace, error) {
-	return s.SampleTracedFrom(s.cfg.Seed)
-}
-
-// SampleTracedFrom is SampleTraced with an explicit master seed.
-func (s *Sampler) SampleTracedFrom(seed uint64) (*Result, *Trace, error) {
-	return s.SampleTracedContext(context.Background(), seed)
-}
-
-// SampleTracedContext is SampleTracedFrom under a context; a canceled
-// ctx aborts the draw exactly as in SampleContext and returns
-// ctx.Err().
-func (s *Sampler) SampleTracedContext(ctx context.Context, seed uint64) (*Result, *Trace, error) {
-	if s.cfg.Distributed {
-		// The LOCAL-model runtime has no per-round hooks; a traced
-		// distributed draw records only the draw-level span.
-		tr := obs.NewTrace("mrf draw")
-		t0 := tr.Now()
-		res, err := s.sampleWithSeed(ctx, seed)
-		if err != nil {
-			return nil, nil, err
-		}
-		s.addDrawSpan(tr, t0, seed)
-		return res, tr, nil
-	}
-	out, st, tr, err := s.drawTraced(ctx, seed)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.result(out, st), tr, nil
-}
-
-// SampleDiagnosed draws one configuration exactly like Sample while
-// running a grand coupling alongside it: WithCoupling(k) chains (default
-// 4) advance from adversarial initial states under the draw's own PRF
-// coins, and the returned Diagnosis carries the per-round mixing series
-// (Hamming disagreement, flip-rate EWMA, per-shard compute/barrier
-// attribution) plus the coalescence verdict. Chain 0 of the coupling IS
-// the draw — it starts from the compiled init with the draw's seed — so
-// the sample is bit-identical to an undiagnosed Sample at the same seed
-// (pinned). Diagnosed draws always run the full compiled budget and run
-// centralized (sharding is a latency runtime, not a distribution one);
-// Result.Shard is therefore nil.
-func (s *Sampler) SampleDiagnosed() (*Result, *Diagnosis, error) {
-	return s.SampleDiagnosedObserved(s.cfg.Seed, nil)
-}
-
-// SampleDiagnosedFrom is SampleDiagnosed with an explicit master seed.
-func (s *Sampler) SampleDiagnosedFrom(seed uint64) (*Result, *Diagnosis, error) {
-	return s.SampleDiagnosedObserved(seed, nil)
-}
-
-// SampleDiagnosedObserved is SampleDiagnosedFrom with a per-round probe —
-// the live-streaming seam (the service's SSE endpoint is such a probe).
-// The probe runs on the round hot path; see diag.Probe for the contract.
-func (s *Sampler) SampleDiagnosedObserved(seed uint64, probe CouplingProbe) (*Result, *Diagnosis, error) {
-	out, d, err := s.diagnose(seed, probe)
-	if err != nil {
-		return nil, nil, err
-	}
-	return s.result(out, nil), d, nil
-}
-
-// SampleN draws k independent samples concurrently. Chain i runs with seed
-// ChainSeed(masterSeed, i); results are positionally stable, so the same
-// call always returns the same Batch no matter how many workers raced over
-// it. In centralized mode chains reuse pooled chain states and scratch,
-// so beyond the k result slices nothing is allocated per chain and nothing
-// at all per round. In sharded mode each chain borrows a pooled cluster
-// engine and runs shard-parallel inside it.
-func (s *Sampler) SampleN(k int) (*Batch, error) {
-	return s.SampleNFrom(s.cfg.Seed, k)
-}
-
-// SampleNFrom is SampleN with an explicit master seed in place of the
-// compiled WithSeed value: chain i runs with ChainSeed(seed, i). It does
-// not mutate the Sampler, so concurrent calls (the serving path, where one
-// compiled sampler answers many requests with per-request seeds) are safe.
-func (s *Sampler) SampleNFrom(seed uint64, k int) (*Batch, error) {
-	return s.SampleNContext(context.Background(), seed, k)
-}
-
-// SampleNContext is SampleNFrom under a context. A cancel aborts the
-// batch and returns ctx.Err(): no worker claims another chain,
-// centralized chains stop at their next round boundary, remote chains
-// abort through the coordinator, and in-flight sharded chains have
-// their engines closed. A canceled batch never returns partial
-// samples.
-func (s *Sampler) SampleNContext(ctx context.Context, seed uint64, k int) (*Batch, error) {
-	if !s.cfg.Distributed {
-		return s.sampleN(ctx, seed, k)
-	}
-	batch, err := s.newBatch(ctx, k)
-	if err != nil {
-		return nil, err
-	}
-	chainStats := make([]Stats, k)
-	var abort atomic.Bool
-	err = claim(ctx, s.workers(), k, &abort, func(i int) error {
-		res, err := s.sampleWithSeed(ctx, core.ChainSeed(seed, uint64(i)))
-		if err != nil {
-			return err
-		}
-		copy(batch.Samples[i], res.Sample)
-		chainStats[i] = res.Stats
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	for _, st := range chainStats {
-		batch.Stats.Messages += st.Messages
-		batch.Stats.Bytes += st.Bytes
-		if st.MaxMessageBytes > batch.Stats.MaxMessageBytes {
-			batch.Stats.MaxMessageBytes = st.MaxMessageBytes
-		}
-		if st.Rounds > batch.Stats.Rounds {
-			batch.Stats.Rounds = st.Rounds
-		}
-	}
-	return batch, nil
+	copy(out, res.Sample)
+	return res.Stats, nil
 }

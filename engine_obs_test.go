@@ -2,6 +2,7 @@ package locsample
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -26,12 +27,13 @@ func TestSampleTracedBitIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, tr, err := s.SampleTraced()
+		b, err := s.Draw(context.Background(), DrawRequest{Seed: 7, Trace: true})
 		if err != nil {
 			t.Fatal(err)
 		}
+		res, tr := b.Samples[0], b.Trace
 		for v := range bare.Sample {
-			if bare.Sample[v] != res.Sample[v] {
+			if bare.Sample[v] != res[v] {
 				t.Fatalf("shards=%d: traced draw diverged at vertex %d", shards, v)
 			}
 		}
@@ -86,10 +88,11 @@ func TestCSPSampleTraced(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	traced, _, tr, err := s.SampleTraced()
+	b, err := s.Draw(context.Background(), DrawRequest{Seed: 3, Trace: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	traced, tr := b.Samples[0], b.Trace
 	for v := range bare {
 		if bare[v] != traced[v] {
 			t.Fatalf("traced CSP draw diverged at vertex %d", v)

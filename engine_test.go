@@ -1,6 +1,8 @@
 package locsample_test
 
 import (
+	"context"
+	"reflect"
 	"testing"
 	"time"
 
@@ -119,6 +121,106 @@ func TestSampleNDistributed(t *testing.T) {
 		for v := range cb.Samples[i] {
 			if cb.Samples[i][v] != db.Samples[i][v] {
 				t.Fatalf("modes disagree on chain %d at vertex %d", i, v)
+			}
+		}
+	}
+
+	// A traced draw on the LOCAL-model runtime returns Sample's bytes;
+	// the runtime has no round hooks, so its trace holds only the
+	// draw-level span.
+	plain, err := distr.Sample()
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced, err := distr.Draw(context.Background(), locsample.DrawRequest{Seed: 5, Trace: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(traced.Samples, [][]int{plain.Sample}) {
+		t.Fatal("traced distributed draw diverged from Sample")
+	}
+	if traced.Stats != plain.Stats {
+		t.Fatalf("traced distributed draw stats %+v, Sample's %+v", traced.Stats, plain.Stats)
+	}
+	spans := traced.Trace.Spans()
+	if len(spans) != 1 || spans[0].Name != "draw" {
+		t.Fatalf("traced distributed draw recorded %+v, want one draw span", spans)
+	}
+}
+
+// drawFamilies compiles the same options for an MRF and a CSP sampler,
+// for tests that check Draw on both families.
+func drawFamilies(t *testing.T, opts ...locsample.Option) map[string]interface {
+	Draw(context.Context, locsample.DrawRequest) (*locsample.Batch, error)
+	SampleNFrom(uint64, int) (*locsample.Batch, error)
+} {
+	t.Helper()
+	g := locsample.GridGraph(6, 6)
+	mrf, err := locsample.NewSampler(locsample.NewColoring(g, 3*g.MaxDeg()+1), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mrf.Close() })
+	init := make([]int, g.N())
+	for i := range init {
+		init[i] = 1
+	}
+	csp, err := locsample.NewCSPSampler(g, locsample.NewDominatingSet(g), init, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { csp.Close() })
+	return map[string]interface {
+		Draw(context.Context, locsample.DrawRequest) (*locsample.Batch, error)
+		SampleNFrom(uint64, int) (*locsample.Batch, error)
+	}{"mrf": mrf, "csp": csp}
+}
+
+// TestDrawRejectsInvalidRequests: Draw refuses a negative chain count, a
+// traced or diagnosed draw of more than one chain, and a draw that is
+// both traced and diagnosed, on both families.
+func TestDrawRejectsInvalidRequests(t *testing.T) {
+	for name, s := range drawFamilies(t, locsample.WithRounds(5), locsample.WithSeed(1)) {
+		for _, req := range []locsample.DrawRequest{
+			{K: -1},
+			{K: 2, Trace: true},
+			{K: 2, Diagnose: true},
+			{Trace: true, Diagnose: true},
+			{K: 1, Trace: true, Diagnose: true},
+		} {
+			if b, err := s.Draw(context.Background(), req); err == nil {
+				t.Fatalf("%s: Draw(%+v) accepted (%d samples)", name, req, len(b.Samples))
+			}
+		}
+	}
+}
+
+// TestDrawOneChainBitIdentical pins the seed rule the service relies on:
+// a traced or diagnosed Draw of K = 1 runs chain 0 at ChainSeed(seed, 0),
+// so it returns SampleNFrom(seed, 1)'s bytes — on both families,
+// centralized and at 2 shards.
+func TestDrawOneChainBitIdentical(t *testing.T) {
+	const seed = 17
+	for _, shards := range []int{0, 2} {
+		for name, s := range drawFamilies(t, locsample.WithRounds(30), locsample.WithShards(shards)) {
+			want, err := s.SampleNFrom(seed, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, req := range []locsample.DrawRequest{
+				{Seed: seed, K: 1, Trace: true},
+				{Seed: seed, K: 1, Diagnose: true},
+			} {
+				b, err := s.Draw(context.Background(), req)
+				if err != nil {
+					t.Fatalf("%s shards=%d %+v: %v", name, shards, req, err)
+				}
+				if !reflect.DeepEqual(b.Samples, want.Samples) {
+					t.Fatalf("%s shards=%d %+v: diverged from SampleNFrom(seed, 1)", name, shards, req)
+				}
+				if req.Trace && b.Trace == nil || req.Diagnose && b.Diagnosis == nil {
+					t.Fatalf("%s shards=%d %+v: no trace or diagnosis returned", name, shards, req)
+				}
 			}
 		}
 	}

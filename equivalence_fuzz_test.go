@@ -1,6 +1,7 @@
 package locsample_test
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -109,16 +110,16 @@ func checkMRFRuntimes(t *testing.T, m *locsample.Model, alg locsample.Algorithm,
 		sameSamples(t, v.name, drawN(t, v.name, s.SampleNFrom, seed, k, v.width), want)
 		s.Close()
 	}
-	res, _, err := ref.SampleTracedFrom(locsample.ChainSeed(seed, k-1))
+	res, err := ref.Draw(context.Background(), locsample.DrawRequest{Seed: locsample.ChainSeed(seed, k-1), Trace: true})
 	if err != nil {
 		t.Fatalf("traced: %v", err)
 	}
-	sameSamples(t, "traced", [][]int{res.Sample}, want[k-1:])
-	res, _, err = ref.SampleDiagnosedFrom(locsample.ChainSeed(seed, 0))
+	sameSamples(t, "traced", res.Samples, want[k-1:])
+	res, err = ref.Draw(context.Background(), locsample.DrawRequest{Seed: locsample.ChainSeed(seed, 0), Diagnose: true})
 	if err != nil {
 		t.Fatalf("diagnosed: %v", err)
 	}
-	sameSamples(t, "diagnosed", [][]int{res.Sample}, want[:1])
+	sameSamples(t, "diagnosed", res.Samples, want[:1])
 }
 
 // fuzzCSP puts one constraint of arity 1–4 on each vertex: the vertex
@@ -222,16 +223,16 @@ func checkCSPRuntimes(t *testing.T, r *rand.Rand, g *locsample.Graph, seed uint6
 		sameSamples(t, v.name, drawN(t, v.name, s.SampleNFrom, seed, k, v.width), want)
 		s.Close()
 	}
-	x, _, _, err := ref.SampleTracedFrom(locsample.ChainSeed(seed, k-1))
+	x, err := ref.Draw(context.Background(), locsample.DrawRequest{Seed: locsample.ChainSeed(seed, k-1), Trace: true})
 	if err != nil {
 		t.Fatalf("traced: %v", err)
 	}
-	sameSamples(t, "traced", [][]int{x}, want[k-1:])
-	x, _, err = ref.SampleDiagnosedFrom(locsample.ChainSeed(seed, 0))
+	sameSamples(t, "traced", x.Samples, want[k-1:])
+	x, err = ref.Draw(context.Background(), locsample.DrawRequest{Seed: locsample.ChainSeed(seed, 0), Diagnose: true})
 	if err != nil {
 		t.Fatalf("diagnosed: %v", err)
 	}
-	sameSamples(t, "diagnosed", [][]int{x}, want[:1])
+	sameSamples(t, "diagnosed", x.Samples, want[:1])
 }
 
 // variant is one runtime the per-chain reference is checked against.

@@ -16,7 +16,8 @@
 // runs from the caller's real initial configuration with the caller's real
 // seed, so its final state IS a regular draw — bit-identical to an
 // undiagnosed Sample at the same seed, which is what lets the engines
-// expose SampleDiagnosed without forking the determinism contract.
+// serve diagnosed draws (DrawRequest.Diagnose) without forking the
+// determinism contract.
 //
 // Instrumentation discipline matches internal/obs: the per-round Probe is
 // nil-gated, StepRound allocates nothing whether a probe is attached or

@@ -72,16 +72,17 @@ type SampleRequest struct {
 	// Epsilon overrides the total-variation target of the automatic
 	// budget.
 	Epsilon float64 `json:"epsilon,omitempty"`
-	// Shards overrides the shard count every chain runs with (MRF models
-	// only; default: the spec's "shards" field, then the server's
-	// -shards flag). Purely a latency knob: samples are bit-identical at
-	// every shard count.
+	// Shards overrides the shard count every chain runs with (default:
+	// the spec's "shards" field, then the server's -shards flag). MRF
+	// chains shard over graph partitions, CSP chains over
+	// constraint-scope halos. Purely a latency knob: samples are
+	// bit-identical at every shard count.
 	Shards int `json:"shards,omitempty"`
 	// Parallel overrides the vertex-parallel worker count every chain's
-	// rounds run with (MRF models only; default: the spec's "parallel"
-	// field, then the server's -parallel flag). Also purely a latency
-	// knob — samples are bit-identical at every worker count — and
-	// mutually exclusive with Shards.
+	// rounds run with, for MRF and CSP models alike (default: the spec's
+	// "parallel" field, then the server's -parallel flag). Also purely a
+	// latency knob — samples are bit-identical at every worker count —
+	// and mutually exclusive with Shards.
 	Parallel int `json:"parallel,omitempty"`
 	// Trace records a per-round timing trace of the draw (k must be 1).
 	// The response carries the trace ID; fetch the Chrome trace-event
@@ -290,23 +291,26 @@ func handleRegister(reg *Registry, w http.ResponseWriter, req *http.Request) {
 	})
 }
 
-func handleSample(reg *Registry, m *Model, w http.ResponseWriter, req *http.Request) {
-	var sr SampleRequest
+// decodeSampleRequest reads and decodes a sample request body and turns
+// it into draw options, seeded by the request or, when it names no seed,
+// by a random one the response echoes. On failure it has written the
+// error response and returns ok = false.
+func decodeSampleRequest(w http.ResponseWriter, req *http.Request) (sr SampleRequest, opts DrawOptions, ok bool) {
 	body, err := readBody(w, req, 1<<20)
 	if err != nil {
-		return
+		return sr, opts, false
 	}
 	if len(body) > 0 {
 		if err := json.Unmarshal(body, &sr); err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid sample request: %w", err))
-			return
+			return sr, opts, false
 		}
 	}
 	seed := rand.Uint64()
 	if sr.Seed != nil {
 		seed = *sr.Seed
 	}
-	opts := DrawOptions{
+	return sr, DrawOptions{
 		K:          sr.K,
 		Seed:       seed,
 		Algorithm:  sr.Algorithm,
@@ -315,21 +319,24 @@ func handleSample(reg *Registry, m *Model, w http.ResponseWriter, req *http.Requ
 		Shards:     sr.Shards,
 		Parallel:   sr.Parallel,
 		RoundsAuto: sr.RoundsAuto,
+		Trace:      sr.Trace,
+	}, true
+}
+
+func handleSample(reg *Registry, m *Model, w http.ResponseWriter, req *http.Request) {
+	_, opts, ok := decodeSampleRequest(w, req)
+	if !ok {
+		return
 	}
-	var res *DrawResult
 	// The request context cancels in-flight work when the client
 	// disconnects or the server drains — local chains stop at the next
 	// round boundary, coordinator sessions are torn down.
-	if sr.Trace {
-		res, _, err = reg.DrawTracedContext(req.Context(), m, opts)
-	} else {
-		res, err = reg.DrawContext(req.Context(), m, opts)
-	}
+	res, err := reg.DrawContext(req.Context(), m, opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, sampleResponseFor(m, seed, res))
+	writeJSON(w, http.StatusOK, sampleResponseFor(m, opts.Seed, res))
 }
 
 // sampleResponseFor shapes a DrawResult into the wire response.
@@ -406,23 +413,8 @@ func (p *sseProbe) CouplingRound(round, disagree, flips int, flipEWMA float64) {
 // then a final "draw" event with the sample and its diagnosis. The
 // sample is bit-identical to a plain draw with the same options.
 func handleSampleStream(reg *Registry, m *Model, w http.ResponseWriter, req *http.Request) {
-	var sr SampleRequest
-	body, err := readBody(w, req, 1<<20)
-	if err != nil {
-		return
-	}
-	if len(body) > 0 {
-		if err := json.Unmarshal(body, &sr); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("invalid sample request: %w", err))
-			return
-		}
-	}
-	if sr.K > 1 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("streaming draws run one chain; k must be 1, got %d", sr.K))
-		return
-	}
-	if sr.Trace {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("streaming draws cannot also be traced"))
+	sr, opts, ok := decodeSampleRequest(w, req)
+	if !ok {
 		return
 	}
 	fl, ok := w.(http.Flusher)
@@ -430,28 +422,15 @@ func handleSampleStream(reg *Registry, m *Model, w http.ResponseWriter, req *htt
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("response writer does not support streaming"))
 		return
 	}
-	seed := rand.Uint64()
-	if sr.Seed != nil {
-		seed = *sr.Seed
-	}
 	every := sr.Every
 	if every <= 0 {
 		every = 16
 	}
-	opts := DrawOptions{
-		K:          1,
-		Seed:       seed,
-		Algorithm:  sr.Algorithm,
-		Rounds:     sr.Rounds,
-		Epsilon:    sr.Epsilon,
-		Shards:     sr.Shards,
-		Parallel:   sr.Parallel,
-		RoundsAuto: sr.RoundsAuto,
-	}
+	opts.Diagnose = true
 	// Validate and compile before committing to the stream so invalid
-	// options still get a proper HTTP error status instead of a broken
-	// event stream.
-	if err := reg.validateDrawOptions(opts); err != nil {
+	// options (k > 1 and trace included) still get a proper HTTP error
+	// status instead of a broken event stream.
+	if err := reg.checkDrawOptions(&opts); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -464,13 +443,14 @@ func handleSampleStream(reg *Registry, m *Model, w http.ResponseWriter, req *htt
 	w.Header().Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
 	fl.Flush()
-	res, diag, err := reg.DrawDiagnosedContext(req.Context(), m, opts, &sseProbe{w: w, fl: fl, every: every})
+	opts.Probe = &sseProbe{w: w, fl: fl, every: every}
+	res, err := reg.DrawContext(req.Context(), m, opts)
 	if err != nil {
 		// The stream is already open (status sent); report in-band.
 		writeSSE(w, fl, "error", errorResponse{Error: err.Error()})
 		return
 	}
-	writeSSE(w, fl, "draw", StreamDrawEvent{SampleResponse: sampleResponseFor(m, seed, res), Diagnosis: diag})
+	writeSSE(w, fl, "draw", StreamDrawEvent{SampleResponse: sampleResponseFor(m, opts.Seed, res), Diagnosis: res.Diagnosis})
 }
 
 func readBody(w http.ResponseWriter, req *http.Request, limit int64) ([]byte, error) {

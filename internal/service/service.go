@@ -267,23 +267,13 @@ type compileKey struct {
 	local bool
 }
 
-// compiled is one cache entry: a reusable batch sampler of either family
-// behind the methods *locsample.Sampler and *locsample.CSPSampler share
-// (CSPBatch is an alias of Batch), plus its single-chain traced and
-// diagnosed draws, bound once at compile time. Close releases remote
-// worker sessions; it is idempotent and safe while a draw still borrows
-// the entry — a later draw simply reconnects.
-type compiled struct {
-	sampler
-	theory    int // automatic round budget (0 when pinned, and for CSPs)
-	traced    func(ctx context.Context, seed uint64) ([]int, *locsample.ShardStats, *locsample.Trace, error)
-	diagnosed func(seed uint64, probe locsample.CouplingProbe) ([]int, *locsample.Diagnosis, error)
-}
-
-// sampler is what the service needs of a compiled sampler.
+// sampler is one cache entry: a compiled sampler of either family,
+// behind the methods *locsample.Sampler and *locsample.CSPSampler share.
+// Draw serves plain, traced and diagnosed draws alike. Close releases
+// remote worker sessions; it is idempotent and safe while a draw still
+// borrows the entry — a later draw simply reconnects.
 type sampler interface {
-	SampleNContext(ctx context.Context, seed uint64, k int) (*locsample.Batch, error)
-	Rounds() int
+	Draw(ctx context.Context, req locsample.DrawRequest) (*locsample.Batch, error)
 	CapRounds() int
 	Shards() int
 	ParallelRounds() int
@@ -324,7 +314,7 @@ type Registry struct {
 
 type lruEntry struct {
 	key compileKey
-	c   *compiled
+	s   sampler
 }
 
 // compileCall is an in-flight compilation other requests for the same key
@@ -332,7 +322,7 @@ type lruEntry struct {
 // are written before done is closed and read only after.
 type compileCall struct {
 	done chan struct{}
-	c    *compiled
+	s    sampler
 	err  error
 }
 
@@ -533,9 +523,24 @@ type DrawOptions struct {
 	// rounds:"auto"). Draws under the measured budget are bit-identical
 	// to explicit-rounds draws at the same seed and round count.
 	RoundsAuto bool
+	// Trace records the draw's per-round timing trace (k must be 1): the
+	// trace is retained in the registry's trace store and the result
+	// carries it and its ID.
+	Trace bool
+	// Diagnose runs a grand coupling alongside the draw (k must be 1) and
+	// returns its mixing Diagnosis, whose summary is retained for
+	// /debug/mixing/{id}. The coupling runs centralized and in-process, so
+	// a diagnosed draw never reaches the worker fleet. Trace and Diagnose
+	// exclude each other.
+	Diagnose bool
+	// Probe observes a diagnosed draw's coupling live, one call per round
+	// (the SSE streaming endpoint passes one).
+	Probe locsample.CouplingProbe
 }
 
-// DrawResult is one served batch.
+// DrawResult is one served batch. Every draw — plain, traced or
+// diagnosed — runs chain i at ChainSeed(Seed, i), so a traced or
+// diagnosed draw is bit-identical to a plain one with the same options.
 type DrawResult struct {
 	// Samples[i] is chain i's configuration.
 	Samples [][]int
@@ -555,9 +560,12 @@ type DrawResult struct {
 	Shard locsample.ShardStats
 	// Elapsed is the draw's wall-clock time.
 	Elapsed time.Duration
-	// TraceID identifies the recorded trace of a traced draw
-	// (DrawTraced), fetchable at /debug/trace/{id}; empty otherwise.
+	// Trace is a traced draw's recorded trace and TraceID its ID,
+	// fetchable at /debug/trace/{id} (nil and empty otherwise).
+	Trace   *locsample.Trace
 	TraceID string
+	// Diagnosis is a diagnosed draw's mixing report (nil otherwise).
+	Diagnosis *locsample.Diagnosis
 	// CapRounds is the worst-case budget a rounds:"auto" compile was
 	// capped by (0 for fixed-budget draws).
 	CapRounds int
@@ -575,24 +583,6 @@ func defaultDrawOptions(m *Model) DrawOptions {
 	return opts
 }
 
-// ParseAlgorithm maps a wire algorithm name to a chain.
-func ParseAlgorithm(s string) (locsample.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "glauber":
-		return locsample.Glauber, nil
-	case "lubyglauber", "luby":
-		return locsample.LubyGlauber, nil
-	case "localmetropolis", "lm", "":
-		return locsample.LocalMetropolis, nil
-	case "scan", "systematicscan":
-		return locsample.SystematicScan, nil
-	case "chromatic", "chromaticglauber":
-		return locsample.ChromaticGlauber, nil
-	default:
-		return 0, fmt.Errorf("service: unknown algorithm %q", s)
-	}
-}
-
 // Draw serves one batch from m, compiling at most once per option set and
 // counting request, sample, latency, and error metrics.
 func (r *Registry) Draw(m *Model, opts DrawOptions) (*DrawResult, error) {
@@ -603,97 +593,41 @@ func (r *Registry) Draw(m *Model, opts DrawOptions) (*DrawResult, error) {
 // disconnect, server drain) aborts the in-flight draw — local chains
 // stop at the next round boundary, sharded engines are torn down, and
 // coordinator sessions are closed — and the request fails with
-// ctx.Err(). Cancellation never produces a partial batch.
+// ctx.Err(). Cancellation never produces a partial batch. A traced draw
+// is booked into the trace store, a diagnosed one into the mixing store.
 func (r *Registry) DrawContext(ctx context.Context, m *Model, opts DrawOptions) (*DrawResult, error) {
 	r.inflightDraws.Add(1)
-	res, err := r.draw(ctx, m, opts, nil)
-	r.inflightDraws.Add(-1)
-	return r.finishDraw(m, res, err)
-}
-
-// DrawTraced is Draw with per-round trace recording: the draw runs
-// sequentially (k must be 1), its trace is retained in the registry's
-// trace store, and the result carries the trace ID. The sample is
-// bit-identical to an untraced draw with the same options.
-func (r *Registry) DrawTraced(m *Model, opts DrawOptions) (*DrawResult, *obs.Trace, error) {
-	return r.DrawTracedContext(context.Background(), m, opts)
-}
-
-// DrawTracedContext is DrawTraced under a context; cancellation behaves
-// as in DrawContext.
-func (r *Registry) DrawTracedContext(ctx context.Context, m *Model, opts DrawOptions) (*DrawResult, *obs.Trace, error) {
-	if opts.K > 1 {
-		err := fmt.Errorf("service: traced draws record one chain; k must be 1, got %d", opts.K)
-		m.requests.Inc()
-		m.errors.Inc()
-		return nil, nil, err
-	}
-	var tr trace
-	r.inflightDraws.Add(1)
-	res, err := r.draw(ctx, m, opts, &tr)
+	res, err := r.draw(ctx, m, opts)
 	r.inflightDraws.Add(-1)
 	res, err = r.finishDraw(m, res, err)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	r.traces.Put(tr.t)
-	r.tracedDraws.Inc()
-	res.TraceID = tr.t.ID
-	r.log.Info("traced draw", "model", m.Hash, "trace", tr.t.ID, "elapsed", res.Elapsed)
-	return res, tr.t, nil
-}
-
-// DrawDiagnosed is Draw with a grand coupling running alongside the
-// chain: the draw runs sequentially (k must be 1) and comes back with a
-// mixing Diagnosis, whose summary is retained for /debug/mixing/{id}.
-// The sample is bit-identical to an undiagnosed draw with the same
-// options — chain 0 of the coupling, seeded ChainSeed(seed, 0), IS the
-// draw. A non-nil probe observes the coupling live, one call per round
-// (the SSE streaming endpoint passes one).
-func (r *Registry) DrawDiagnosed(m *Model, opts DrawOptions, probe locsample.CouplingProbe) (*DrawResult, *locsample.Diagnosis, error) {
-	return r.DrawDiagnosedContext(context.Background(), m, opts, probe)
-}
-
-// DrawDiagnosedContext is DrawDiagnosed under a context. The coupling
-// itself runs to completion once started (it is centralized and
-// in-process); the context is checked before the draw begins, so a
-// disconnected client never starts one.
-func (r *Registry) DrawDiagnosedContext(ctx context.Context, m *Model, opts DrawOptions, probe locsample.CouplingProbe) (*DrawResult, *locsample.Diagnosis, error) {
-	if opts.K > 1 {
-		err := fmt.Errorf("service: diagnosed draws run one chain; k must be 1, got %d", opts.K)
-		m.requests.Inc()
-		m.errors.Inc()
-		return nil, nil, err
+	if tr := res.Trace; tr != nil {
+		r.traces.Put(tr)
+		r.tracedDraws.Inc()
+		res.TraceID = tr.ID
+		r.log.Info("traced draw", "model", m.Hash, "trace", tr.ID, "elapsed", res.Elapsed)
 	}
-	if err := ctxDone(ctx); err != nil {
-		m.requests.Inc()
-		m.errors.Inc()
-		return nil, nil, err
+	if d := res.Diagnosis; d != nil {
+		r.diagnosedDraws.Inc()
+		r.mixing.Put(obs.MixingSummary{
+			ID:               m.Hash,
+			Seed:             opts.Seed,
+			Chains:           d.Chains,
+			Rounds:           d.Rounds,
+			MaxRounds:        d.MaxRounds,
+			Coalesced:        d.Coalesced,
+			CoalescenceRound: d.CoalescenceRound,
+			MeasuredRounds:   d.MeasuredRounds,
+			TheoryRounds:     res.TheoryRounds,
+			FinalDisagree:    lastDisagree(d),
+		})
+		r.log.Info("diagnosed draw", "model", m.Hash,
+			"coalesced", d.Coalesced, "measured", d.MeasuredRounds,
+			"rounds", d.Rounds, "elapsed", res.Elapsed)
 	}
-	r.inflightDraws.Add(1)
-	res, diag, err := r.drawDiagnosed(m, opts, probe)
-	r.inflightDraws.Add(-1)
-	res, err = r.finishDraw(m, res, err)
-	if err != nil {
-		return nil, nil, err
-	}
-	r.diagnosedDraws.Inc()
-	r.mixing.Put(obs.MixingSummary{
-		ID:               m.Hash,
-		Seed:             opts.Seed,
-		Chains:           diag.Chains,
-		Rounds:           diag.Rounds,
-		MaxRounds:        diag.MaxRounds,
-		Coalesced:        diag.Coalesced,
-		CoalescenceRound: diag.CoalescenceRound,
-		MeasuredRounds:   diag.MeasuredRounds,
-		TheoryRounds:     res.TheoryRounds,
-		FinalDisagree:    lastDisagree(diag),
-	})
-	r.log.Info("diagnosed draw", "model", m.Hash,
-		"coalesced", diag.Coalesced, "measured", diag.MeasuredRounds,
-		"rounds", diag.Rounds, "elapsed", res.Elapsed)
-	return res, diag, nil
+	return res, nil
 }
 
 func lastDisagree(d *locsample.Diagnosis) int {
@@ -701,42 +635,6 @@ func lastDisagree(d *locsample.Diagnosis) int {
 		return d.Series.Disagree[n-1]
 	}
 	return 0
-}
-
-// drawDiagnosed runs the diagnosed draw proper (validation and metrics
-// live in DrawDiagnosed).
-func (r *Registry) drawDiagnosed(m *Model, opts DrawOptions, probe locsample.CouplingProbe) (*DrawResult, *locsample.Diagnosis, error) {
-	if opts.K == 0 {
-		opts.K = 1
-	}
-	if err := r.validateDrawOptions(opts); err != nil {
-		return nil, nil, err
-	}
-	key, err := r.compileKeyFor(m, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	c, err := r.getCompiledKey(m, key, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	start := time.Now()
-	// Chain 0 of an untraced k-batch runs with ChainSeed(seed, 0); the
-	// diagnosed single chain must match it bit-for-bit.
-	sample, diag, err := c.diagnosed(locsample.ChainSeed(opts.Seed, 0), probe)
-	if err != nil {
-		return nil, nil, err
-	}
-	return &DrawResult{
-		Samples:      [][]int{sample},
-		Rounds:       c.Rounds(),
-		TheoryRounds: c.theory,
-		Algorithm:    strings.ToLower(key.algorithm.String()),
-		Shards:       1, // diagnosed draws run the coupling centralized
-		Parallel:     1,
-		Elapsed:      time.Since(start),
-		CapRounds:    c.CapRounds(),
-	}, diag, nil
 }
 
 // finishDraw books one finished draw into the model's serving series.
@@ -761,15 +659,20 @@ func (r *Registry) finishDraw(m *Model, res *DrawResult, err error) (*DrawResult
 	return res, nil
 }
 
-// trace is an out-parameter for draw: non-nil asks for a traced draw,
-// and the recorded trace comes back in t.
-type trace struct{ t *obs.Trace }
-
-// validateDrawOptions range-checks the request-level knobs shared by
-// every draw flavor (plain, traced, diagnosed, streamed).
-func (r *Registry) validateDrawOptions(opts DrawOptions) error {
+// checkDrawOptions defaults k to 1 and range-checks the request-level
+// knobs shared by every draw flavor (plain, traced, diagnosed, streamed).
+func (r *Registry) checkDrawOptions(opts *DrawOptions) error {
+	if opts.K == 0 {
+		opts.K = 1
+	}
 	if opts.K < 1 || opts.K > r.cfg.MaxK {
 		return fmt.Errorf("service: k must be in [1,%d], got %d", r.cfg.MaxK, opts.K)
+	}
+	if (opts.Trace || opts.Diagnose) && opts.K > 1 {
+		return fmt.Errorf("service: traced and diagnosed draws run one chain; k must be 1, got %d", opts.K)
+	}
+	if opts.Trace && opts.Diagnose {
+		return fmt.Errorf("service: a draw is traced or diagnosed, not both")
 	}
 	if opts.Rounds < 0 {
 		return fmt.Errorf("service: rounds must be >= 0, got %d", opts.Rounds)
@@ -800,19 +703,18 @@ func (r *Registry) remoteKey(key compileKey) bool {
 	return key.shards > 1 && !key.local && len(r.cfg.WorkerAddrs) > 0
 }
 
-func (r *Registry) draw(ctx context.Context, m *Model, opts DrawOptions, tr *trace) (*DrawResult, error) {
-	if opts.K == 0 {
-		opts.K = 1
-	}
-	if err := r.validateDrawOptions(opts); err != nil {
+func (r *Registry) draw(ctx context.Context, m *Model, opts DrawOptions) (*DrawResult, error) {
+	if err := r.checkDrawOptions(&opts); err != nil {
 		return nil, err
 	}
 	key, err := r.compileKeyFor(m, opts)
 	if err != nil {
 		return nil, err
 	}
-	if !r.remoteKey(key) {
-		return r.drawCompiled(ctx, m, key, opts, tr)
+	if opts.Diagnose || !r.remoteKey(key) {
+		// A diagnosed draw's coupling runs in-process whatever the key,
+		// so it never reaches the fleet and the breaker has no say.
+		return r.drawCompiled(ctx, m, key, opts)
 	}
 	// Coordinator-backed draw. The coordinator retries and replaces
 	// workers inside the draw; the service layer handles the regime
@@ -821,9 +723,9 @@ func (r *Registry) draw(ctx context.Context, m *Model, opts DrawOptions, tr *tra
 	// of failing the request, and the per-model breaker stops sending
 	// draws into a known-broken fleet at all.
 	if !m.breaker.allow() {
-		return r.drawDegraded(ctx, m, key, opts, tr, nil)
+		return r.drawDegraded(ctx, m, key, opts, nil)
 	}
-	res, err := r.drawCompiled(ctx, m, key, opts, tr)
+	res, err := r.drawCompiled(ctx, m, key, opts)
 	if err == nil {
 		m.breaker.success()
 		return res, nil
@@ -835,17 +737,17 @@ func (r *Registry) draw(ctx context.Context, m *Model, opts DrawOptions, tr *tra
 		return nil, err
 	}
 	m.breaker.failure()
-	return r.drawDegraded(ctx, m, key, opts, tr, err)
+	return r.drawDegraded(ctx, m, key, opts, err)
 }
 
 // drawDegraded serves a coordinator-keyed draw from the in-process
 // fallback sampler — same spec, same seeds, bit-identical samples.
 // cause is the worker fault that forced the detour (nil when the
 // breaker short-circuited before trying).
-func (r *Registry) drawDegraded(ctx context.Context, m *Model, key compileKey, opts DrawOptions, tr *trace, cause error) (*DrawResult, error) {
+func (r *Registry) drawDegraded(ctx context.Context, m *Model, key compileKey, opts DrawOptions, cause error) (*DrawResult, error) {
 	local := key
 	local.local = true
-	res, err := r.drawCompiled(ctx, m, local, opts, tr)
+	res, err := r.drawCompiled(ctx, m, local, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -856,40 +758,35 @@ func (r *Registry) drawDegraded(ctx context.Context, m *Model, key compileKey, o
 }
 
 // drawCompiled runs one validated draw on the sampler the key names.
-func (r *Registry) drawCompiled(ctx context.Context, m *Model, key compileKey, opts DrawOptions, tr *trace) (*DrawResult, error) {
-	c, err := r.getCompiledKey(m, key, opts)
+func (r *Registry) drawCompiled(ctx context.Context, m *Model, key compileKey, opts DrawOptions) (*DrawResult, error) {
+	s, err := r.getCompiledKey(m, key, opts)
 	if err != nil {
 		return nil, err
 	}
 	start := time.Now()
+	b, err := s.Draw(ctx, locsample.DrawRequest{Seed: opts.Seed, K: opts.K,
+		Trace: opts.Trace, Diagnose: opts.Diagnose, Probe: opts.Probe})
+	if err != nil {
+		return nil, err
+	}
 	res := &DrawResult{
-		Rounds:       c.Rounds(),
-		TheoryRounds: c.theory,
+		Samples:      b.Samples,
+		Rounds:       b.Rounds,
+		TheoryRounds: b.TheoryRounds,
 		Algorithm:    strings.ToLower(key.algorithm.String()),
-		Shards:       c.Shards(),
-		Parallel:     c.ParallelRounds(),
-		CapRounds:    c.CapRounds(),
+		Shards:       s.Shards(),
+		Parallel:     s.ParallelRounds(),
+		Shard:        b.Shard,
+		Elapsed:      time.Since(start),
+		CapRounds:    s.CapRounds(),
+		SoAWidth:     b.SoAWidth,
+		Trace:        b.Trace,
+		Diagnosis:    b.Diagnosis,
 	}
-	if tr != nil {
-		// Chain 0 of an untraced k-batch runs with ChainSeed(seed, 0);
-		// the traced single chain must match it bit-for-bit.
-		sample, st, t, err := c.traced(ctx, locsample.ChainSeed(opts.Seed, 0))
-		if err != nil {
-			return nil, err
-		}
-		tr.t = t
-		res.Samples = [][]int{sample}
-		if st != nil {
-			res.Shard = *st
-		}
-	} else {
-		batch, err := c.SampleNContext(ctx, opts.Seed, opts.K)
-		if err != nil {
-			return nil, err
-		}
-		res.Samples, res.Shard, res.SoAWidth = batch.Samples, batch.Shard, batch.SoAWidth
+	if opts.Diagnose {
+		// The coupling ran centralized and sequential.
+		res.Shards, res.Parallel = 1, 1
 	}
-	res.Elapsed = time.Since(start)
 	return res, nil
 }
 
@@ -899,7 +796,7 @@ func (r *Registry) drawCompiled(ctx context.Context, m *Model, key compileKey, o
 // lookups, or stats for the rest of the server; concurrent requests for
 // the same cold key wait on a per-key singleflight instead of compiling
 // again.
-func (r *Registry) getCompiled(m *Model, opts DrawOptions) (*compiled, error) {
+func (r *Registry) getCompiled(m *Model, opts DrawOptions) (sampler, error) {
 	key, err := r.compileKeyFor(m, opts)
 	if err != nil {
 		return nil, err
@@ -910,13 +807,13 @@ func (r *Registry) getCompiled(m *Model, opts DrawOptions) (*compiled, error) {
 // getCompiledKey is getCompiled for an already-resolved key (the draw
 // path resolves keys itself to route between the coordinator and the
 // degraded-fallback variants).
-func (r *Registry) getCompiledKey(m *Model, key compileKey, opts DrawOptions) (*compiled, error) {
+func (r *Registry) getCompiledKey(m *Model, key compileKey, opts DrawOptions) (sampler, error) {
 	r.mu.Lock()
 	if el, ok := r.byKey[key]; ok {
 		r.lru.MoveToFront(el)
 		r.cacheHits.Inc()
 		r.mu.Unlock()
-		return el.Value.(*lruEntry).c, nil
+		return el.Value.(*lruEntry).s, nil
 	}
 	if call, ok := r.inflight[key]; ok {
 		r.mu.Unlock()
@@ -924,7 +821,7 @@ func (r *Registry) getCompiledKey(m *Model, key compileKey, opts DrawOptions) (*
 		if call.err == nil {
 			r.cacheHits.Inc()
 		}
-		return call.c, call.err
+		return call.s, call.err
 	}
 	call := &compileCall{done: make(chan struct{})}
 	r.inflight[key] = call
@@ -932,7 +829,7 @@ func (r *Registry) getCompiledKey(m *Model, key compileKey, opts DrawOptions) (*
 	r.mu.Unlock()
 
 	compileStart := time.Now()
-	c, err := r.compile(m, key, opts)
+	s, err := r.compile(m, key, opts)
 	if err == nil {
 		r.compileNS.Observe(time.Since(compileStart).Nanoseconds())
 		r.log.Debug("sampler compiled", "model", m.Hash, "elapsed", time.Since(compileStart))
@@ -941,20 +838,20 @@ func (r *Registry) getCompiledKey(m *Model, key compileKey, opts DrawOptions) (*
 	r.mu.Lock()
 	delete(r.inflight, key)
 	if err == nil {
-		el := r.lru.PushFront(&lruEntry{key: key, c: c})
+		el := r.lru.PushFront(&lruEntry{key: key, s: s})
 		r.byKey[key] = el
 		for r.lru.Len() > r.cfg.CacheSize {
 			oldest := r.lru.Back()
 			r.lru.Remove(oldest)
 			entry := oldest.Value.(*lruEntry)
 			delete(r.byKey, entry.key)
-			entry.c.Close()
+			entry.s.Close()
 		}
 	}
 	r.mu.Unlock()
-	call.c, call.err = c, err
+	call.s, call.err = s, err
 	close(call.done)
-	return c, err
+	return s, err
 }
 
 func (r *Registry) compileKeyFor(m *Model, opts DrawOptions) (compileKey, error) {
@@ -962,7 +859,7 @@ func (r *Registry) compileKeyFor(m *Model, opts DrawOptions) (compileKey, error)
 	if m.Built.CSP != nil {
 		if opts.Algorithm != "" {
 			// Accept any spelling of the one chain CSPs run.
-			if a, err := ParseAlgorithm(opts.Algorithm); err != nil || a != locsample.LubyGlauber {
+			if a, err := locsample.ParseAlgorithm(opts.Algorithm); err != nil || a != locsample.LubyGlauber {
 				return key, fmt.Errorf("service: csp models only support the lubyglauber chain, got %q", opts.Algorithm)
 			}
 		}
@@ -982,7 +879,7 @@ func (r *Registry) compileKeyFor(m *Model, opts DrawOptions) (compileKey, error)
 		key.shards, key.parallel = r.resolveRuntime(m, opts)
 		return key, nil
 	}
-	a, err := ParseAlgorithm(opts.Algorithm)
+	a, err := locsample.ParseAlgorithm(opts.Algorithm)
 	if err != nil {
 		return key, err
 	}
@@ -1034,7 +931,7 @@ func (r *Registry) resolveRuntime(m *Model, opts DrawOptions) (shards, parallel 
 
 // compile does the actual compilation work; it is called without r.mu
 // held (the caller serializes same-key compiles via the singleflight).
-func (r *Registry) compile(m *Model, key compileKey, opts DrawOptions) (*compiled, error) {
+func (r *Registry) compile(m *Model, key compileKey, opts DrawOptions) (sampler, error) {
 	sopts := append(r.commonOptions(), locsample.WithAlgorithm(key.algorithm))
 	if key.rounds > 0 {
 		sopts = append(sopts, locsample.WithRounds(key.rounds))
@@ -1059,34 +956,17 @@ func (r *Registry) compile(m *Model, key compileKey, opts DrawOptions) (*compile
 	}
 	r.compiles.Inc()
 	if m.Built.CSP != nil {
-		cs, err := locsample.NewCSPSampler(m.Built.Graph, m.Built.CSP, m.Built.Init, sopts...)
+		s, err := locsample.NewCSPSampler(m.Built.Graph, m.Built.CSP, m.Built.Init, sopts...)
 		if err != nil {
 			return nil, err
 		}
-		return &compiled{sampler: cs, traced: cs.SampleTracedContext, diagnosed: cs.SampleDiagnosedObserved}, nil
+		return s, nil
 	}
 	s, err := locsample.NewSampler(m.Built.Model, sopts...)
 	if err != nil {
 		return nil, err
 	}
-	return &compiled{
-		sampler: s,
-		theory:  s.TheoryRounds(),
-		traced: func(ctx context.Context, seed uint64) ([]int, *locsample.ShardStats, *locsample.Trace, error) {
-			res, t, err := s.SampleTracedContext(ctx, seed)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			return res.Sample, res.Shard, t, nil
-		},
-		diagnosed: func(seed uint64, probe locsample.CouplingProbe) ([]int, *locsample.Diagnosis, error) {
-			res, d, err := s.SampleDiagnosedObserved(seed, probe)
-			if err != nil {
-				return nil, nil, err
-			}
-			return res.Sample, d, nil
-		},
-	}, nil
+	return s, nil
 }
 
 // commonOptions are the observability options every compiled sampler

@@ -468,7 +468,7 @@ func (w *Worker) buildJob(job *transport.JobMsg) (*workerJob, error) {
 		if built.MRF == nil {
 			return nil, fmt.Errorf("worker: job kind mrf but spec kind %q", sp.Model.Kind)
 		}
-		alg, err := ParseAlgorithm(job.Algorithm)
+		alg, err := locsample.ParseAlgorithm(job.Algorithm)
 		if err != nil {
 			return nil, err
 		}

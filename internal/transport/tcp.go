@@ -311,6 +311,10 @@ func (t *TCP) Send(from, to, round int, states []int) error {
 	l.seq++
 	select {
 	case l.conn.outQ <- outFrame{link: l, buf: enc}:
+		// Counted once queued, not once written: the peer may answer the
+		// frame, and a caller read Stats, before the writer returns.
+		t.framesSent.Add(1)
+		t.bytesSent.Add(int64(len(enc)))
 		return nil
 	case <-t.done:
 		return ErrClosed
@@ -423,8 +427,6 @@ func (c *tcpConn) writeLoop(sock net.Conn) {
 			c.poison(writeErr(c.peer, err))
 			return
 		}
-		c.t.framesSent.Add(1)
-		c.t.bytesSent.Add(int64(len(of.buf)))
 		of.link.freeQ <- of.buf // cap 2, never blocks: at most 2 buffers exist
 	}
 }

@@ -10,6 +10,7 @@ package locsample_test
 // cue).
 
 import (
+	"context"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -147,12 +148,13 @@ func TestRemoteWorkerFaultRetryCleanTrace(t *testing.T) {
 	}
 	defer s.Close()
 
-	res, tr, err := s.SampleTraced()
+	b, err := s.Draw(context.Background(), locsample.DrawRequest{Seed: seed, Trace: true})
 	if err != nil {
 		t.Fatalf("draw after one worker fault: %v", err)
 	}
-	if len(res.Sample) != g.N() {
-		t.Fatalf("sample has %d states, want %d", len(res.Sample), g.N())
+	res, tr := b.Samples[0], b.Trace
+	if len(res) != g.N() {
+		t.Fatalf("sample has %d states, want %d", len(res), g.N())
 	}
 	if failFirst.Load() {
 		t.Fatal("fault was never injected")

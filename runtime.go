@@ -46,6 +46,10 @@ type drawRuntime struct {
 	capRounds int
 	// shards is the compiled plan's shard count (0 when unsharded).
 	shards int
+	// replay runs one chain at seed into out on the LOCAL-model runtime
+	// and returns its communication profile (nil unless a Distributed
+	// Sampler).
+	replay func(seed uint64, out []int) (Stats, error)
 
 	// remote is the cross-process coordinator (nil unless WithRemoteWorkers
 	// placed the shards on lsharded processes). Remote draws are serialized
@@ -312,73 +316,117 @@ func (rt *drawRuntime) observer(rec *obs.RoundRecorder) chains.RoundObserver {
 	return rt.roundObs
 }
 
-// draw runs one chain at seed into a fresh sample: on the remote fleet,
-// on a pooled shard engine, or on a pooled per-chain stepper. A non-nil
-// tr records the draw's per-round spans and its draw-level span; a nil tr
-// means untraced. Tracing never perturbs the trajectory. Sharded and
-// remote draws also return their shard profile. A canceled ctx aborts the
-// draw — remote draws unblock their control reads, sharded draws close
-// their engine, per-chain draws stop at the next round boundary — and
-// returns ctx.Err(), never a partial sample.
-func (rt *drawRuntime) draw(ctx context.Context, seed uint64, tr *obs.Trace) ([]int, *ShardStats, error) {
-	start, t0 := time.Now(), tr.Now()
-	if err := ctxErr(ctx); err != nil {
-		return nil, nil, err
+// Draw serves req (see DrawRequest): a batch through the claim loop, or
+// one chain — plain, traced or diagnosed. A canceled ctx aborts the draw
+// and returns ctx.Err(), never a partial sample: remote draws unblock
+// their control reads, sharded draws close their engines, per-chain
+// draws and SoA blocks stop at the next round boundary. A diagnosed
+// draw checks ctx before it starts; its centralized coupling then runs
+// to the end.
+func (rt *drawRuntime) Draw(ctx context.Context, req DrawRequest) (*Batch, error) {
+	switch {
+	case req.K < 0:
+		return nil, fmt.Errorf("locsample: a draw needs k >= 0, got %d", req.K)
+	case req.Trace && req.Diagnose:
+		return nil, fmt.Errorf("locsample: a draw is traced or diagnosed, not both")
+	case (req.Trace || req.Diagnose) && req.K > 1:
+		return nil, fmt.Errorf("locsample: traced and diagnosed draws run one chain; k must be 0 or 1, got %d", req.K)
 	}
-	out := make([]int, rt.n)
+	if req.K > 0 && !req.Trace && !req.Diagnose {
+		return rt.sampleN(ctx, req.Seed, req.K)
+	}
+	seed := req.Seed
+	if req.K == 1 {
+		seed = core.ChainSeed(seed, 0)
+	}
+	batch, err := rt.newBatch(ctx, 1)
+	if err != nil {
+		return nil, err
+	}
+	if req.Diagnose {
+		batch.Diagnosis, err = rt.diagnose(seed, req.Probe, batch.Samples[0])
+	} else {
+		if req.Trace {
+			batch.Trace = obs.NewTrace(rt.label + " draw")
+		}
+		err = rt.draw(ctx, seed, batch)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return batch, nil
+}
+
+// SampleN draws k independent chains with the compiled master seed; see
+// SampleNFrom.
+func (rt *drawRuntime) SampleN(k int) (*Batch, error) {
+	return rt.SampleNFrom(rt.cfg.Seed, k)
+}
+
+// SampleNFrom draws k independent chains concurrently, chain i with seed
+// ChainSeed(seed, i): Draw with DrawRequest{Seed: seed, K: k}, except
+// that k = 0 returns an empty batch. Results are positionally stable, so
+// the same call always returns the same Batch however many workers raced
+// over it. It does not mutate the sampler, so concurrent calls (the
+// serving path, where one compiled sampler answers many requests with
+// per-request seeds) are safe.
+func (rt *drawRuntime) SampleNFrom(seed uint64, k int) (*Batch, error) {
+	if k == 0 {
+		return rt.newBatch(nil, 0)
+	}
+	return rt.Draw(context.Background(), DrawRequest{Seed: seed, K: k})
+}
+
+// draw runs one chain at seed into batch.Samples[0]: on the remote fleet,
+// on the LOCAL-model runtime, on a pooled shard engine, or on a pooled
+// per-chain stepper. With batch.Trace set it records the draw's per-round
+// spans and its draw-level span (the LOCAL runtime has no round hooks, so
+// only the latter); tracing never perturbs the trajectory. Sharded and
+// remote draws fill batch.Shard, LOCAL draws batch.Stats.
+func (rt *drawRuntime) draw(ctx context.Context, seed uint64, batch *Batch) error {
+	tr, out := batch.Trace, batch.Samples[0]
+	start, t0 := time.Now(), tr.Now()
 	if rt.remote != nil {
 		st, err := rt.remote.draw(ctx, seed, rt.rounds, out, tr)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
+		batch.Shard = st
 		rt.observeDraw(start, 1)
-		return out, &st, nil
+		return nil
 	}
 	var rec *obs.RoundRecorder
-	if tr != nil {
+	if tr != nil && rt.replay == nil {
 		rec = obs.NewRoundRecorder(rt.Shards(), rt.rounds)
 	}
-	var st *ShardStats
-	if rt.shards > 0 {
-		s, err := rt.runEngine(ctx, seed, out, rec)
-		if err != nil {
-			return nil, nil, err
-		}
-		st = &s
-	} else {
+	var err error
+	switch {
+	case rt.replay != nil:
+		batch.Stats, err = rt.replay(seed, out)
+	case rt.shards > 0:
+		batch.Shard, err = rt.runEngine(ctx, seed, out, rec)
+	default:
 		var abort atomic.Bool
 		stop := ctxWatch(ctx, func() { abort.Store(true) })
 		rt.runChain(seed, out, rt.observer(rec), &abort)
 		stop()
-		if err := ctxErr(ctx); err != nil {
-			return nil, nil, err
-		}
+	}
+	if err == nil {
+		err = ctxErr(ctx)
+	}
+	if err != nil {
+		return err
 	}
 	if tr != nil {
 		rec.FlushTo(tr, 0)
-		rt.addDrawSpan(tr, t0, seed)
+		span := obs.Span{Name: "draw", PID: 0, TID: 0, StartNS: t0, DurNS: tr.Now() - t0}
+		span.SetArg("seed", int64(seed))
+		span.SetArg("rounds", int64(rt.rounds))
+		span.SetArg("shards", int64(rt.Shards()))
+		tr.Add(span)
 	}
 	rt.observeDraw(start, 1)
-	return out, st, nil
-}
-
-// drawTraced is draw under a fresh trace named after the family.
-func (rt *drawRuntime) drawTraced(ctx context.Context, seed uint64) ([]int, *ShardStats, *Trace, error) {
-	tr := obs.NewTrace(rt.label + " draw")
-	out, st, err := rt.draw(ctx, seed, tr)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return out, st, tr, nil
-}
-
-// addDrawSpan closes a traced local draw with its draw-level span.
-func (rt *drawRuntime) addDrawSpan(tr *obs.Trace, t0 int64, seed uint64) {
-	span := obs.Span{Name: "draw", PID: 0, TID: 0, StartNS: t0, DurNS: tr.Now() - t0}
-	span.SetArg("seed", int64(seed))
-	span.SetArg("rounds", int64(rt.rounds))
-	span.SetArg("shards", int64(rt.Shards()))
-	tr.Add(span)
+	return nil
 }
 
 // runChain runs one chain at seed on a pooled per-chain stepper into out,
@@ -441,27 +489,27 @@ func (rt *drawRuntime) runBlock(width int, seed uint64, lo int, dst [][]int, abo
 	rt.soaPool.Put(b)
 }
 
-// diagnose draws one configuration at seed while a grand coupling runs
-// alongside it (see Sampler.SampleDiagnosed). Chain 0 of the coupling is
-// the draw, so the sample is bit-identical to an undiagnosed draw.
-func (rt *drawRuntime) diagnose(seed uint64, probe diag.Probe) ([]int, *Diagnosis, error) {
+// diagnose runs one chain at seed into out while a grand coupling runs
+// alongside it: WithCoupling chains advance from adversarial initial
+// states under the draw's own PRF coins. Chain 0 of the coupling is the
+// draw, so the sample is bit-identical to an undiagnosed draw. The
+// coupling runs centralized and sequential on every runtime, for the full
+// compiled budget.
+func (rt *drawRuntime) diagnose(seed uint64, probe diag.Probe, out []int) (*Diagnosis, error) {
 	start := time.Now()
 	d, err := rt.kern.newCoupled(seed, diag.Options{Chains: rt.cfg.Coupling, MaxRounds: rt.rounds, Probe: probe, Obs: rt.observer(nil)})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d.Run(rt.rounds)
-	out := append([]int(nil), d.X()...)
+	copy(out, d.X())
 	rt.observeDraw(start, 1)
-	return out, d.Finish(), nil
+	return d.Finish(), nil
 }
 
-// newBatch validates a k-chain request and allocates its samples, all
-// sharing one flat backing array.
+// newBatch allocates a k-chain batch, all samples sharing one flat
+// backing array, unless ctx is already done.
 func (rt *drawRuntime) newBatch(ctx context.Context, k int) (*Batch, error) {
-	if k < 0 {
-		return nil, fmt.Errorf("locsample: SampleN needs k >= 0, got %d", k)
-	}
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -474,13 +522,13 @@ func (rt *drawRuntime) newBatch(ctx context.Context, k int) (*Batch, error) {
 	return batch, nil
 }
 
-// sampleN draws k chains, chain i at ChainSeed(seed, i). Remote chains
-// run one by one through the coordinator (each already fans out across
-// the worker processes); local chains are claimed by a worker pool —
-// as SoA block lanes when the batch fills a block and each chain runs
-// centralized and sequential, else one chain per claim on a pooled
-// stepper or shard engine. A canceled ctx stops the batch and returns
-// ctx.Err(), never partial samples.
+// sampleN draws k ≥ 1 chains, chain i at ChainSeed(seed, i). Remote
+// chains run one by one through the coordinator (each already fans out
+// across the worker processes); local chains are claimed by a worker
+// pool — as SoA block lanes when the batch fills a block and each chain
+// runs centralized and sequential, else one chain per claim on the
+// LOCAL-model runtime, a pooled stepper or a shard engine. A canceled ctx
+// stops the batch and returns ctx.Err(), never partial samples.
 func (rt *drawRuntime) sampleN(ctx context.Context, seed uint64, k int) (*Batch, error) {
 	batch, err := rt.newBatch(ctx, k)
 	if err != nil {
@@ -500,7 +548,7 @@ func (rt *drawRuntime) sampleN(ctx context.Context, seed uint64, k int) (*Batch,
 	}
 	workers := rt.workers()
 	var abort atomic.Bool
-	if rt.shards == 0 && rt.cfg.Parallel <= 1 && soaBatchable(rt.cfg.Algorithm) {
+	if rt.replay == nil && rt.shards == 0 && rt.cfg.Parallel <= 1 && soaBatchable(rt.cfg.Algorithm) {
 		if width := batchWidth(rt.cfg.BatchWidth, k, workers); width > 0 {
 			// The tail block runs with its natural lane count: lanes pack
 			// at the run width, so no dead lanes are computed.
@@ -518,20 +566,29 @@ func (rt *drawRuntime) sampleN(ctx context.Context, seed uint64, k int) (*Batch,
 			return batch, nil
 		}
 	}
-	var shardStats []ShardStats
+	var (
+		shardStats []ShardStats
+		chainStats []Stats
+	)
 	if rt.shards > 0 {
 		shardStats = make([]ShardStats, k)
 	}
+	if rt.replay != nil {
+		chainStats = make([]Stats, k)
+	}
 	err = claim(ctx, workers, k, &abort, func(i int) error {
 		start, chainSeed := time.Now(), core.ChainSeed(seed, uint64(i))
-		if rt.shards > 0 {
-			st, err := rt.runEngine(ctx, chainSeed, batch.Samples[i], nil)
-			if err != nil {
-				return err
-			}
-			shardStats[i] = st
-		} else {
+		var err error
+		switch {
+		case rt.replay != nil:
+			chainStats[i], err = rt.replay(chainSeed, batch.Samples[i])
+		case rt.shards > 0:
+			shardStats[i], err = rt.runEngine(ctx, chainSeed, batch.Samples[i], nil)
+		default:
 			rt.runChain(chainSeed, batch.Samples[i], rt.observer(nil), &abort)
+		}
+		if err != nil {
+			return err
 		}
 		rt.observeDraw(start, 1)
 		return nil
@@ -541,6 +598,12 @@ func (rt *drawRuntime) sampleN(ctx context.Context, seed uint64, k int) (*Batch,
 	}
 	for _, st := range shardStats {
 		batch.Shard.Add(st)
+	}
+	for _, st := range chainStats {
+		batch.Stats.Messages += st.Messages
+		batch.Stats.Bytes += st.Bytes
+		batch.Stats.MaxMessageBytes = max(batch.Stats.MaxMessageBytes, st.MaxMessageBytes)
+		batch.Stats.Rounds = max(batch.Stats.Rounds, st.Rounds)
 	}
 	return batch, nil
 }
