@@ -39,9 +39,11 @@ chaos:
 # these packages whose name contains BitIdentical, MatchesReference,
 # MatchSequential, RoundsAuto or Determinism runs here, plus the
 # TestRegistryRemoteWorkers tests and the FuzzRuntimeEquivalence corpus.
+# internal/rng and internal/mrf hold the lane helpers the SoA blocks
+# draw and read through.
 bit-identity:
 	GOMAXPROCS=4 $(GO) test -count=1 -run 'BitIdentical|MatchesReference|MatchSequential|RoundsAuto|Determinism|RegistryRemoteWorkers|FuzzRuntimeEquivalence' \
-		./internal/csp/ ./internal/cluster/ ./internal/chains/ ./internal/service/ .
+		./internal/csp/ ./internal/cluster/ ./internal/chains/ ./internal/service/ ./internal/rng/ ./internal/mrf/ .
 
 # Perf trajectory: run the core benchmark suite and write machine-readable
 # results (ns/op, allocs/op, vertices/sec, shard/parallel speedups, the CSP

@@ -85,7 +85,7 @@ func newCSPSampler(g *Graph, c *CSPModel, init []int, cfg core.Config) (*CSPSamp
 	}
 	init = append([]int(nil), init...)
 	kern := &cspKernels{c: c, init: init, parallel: cfg.Parallel, transport: cfg.Transport}
-	s := &CSPSampler{drawRuntime{kern: kern, label: "csp", cfg: cfg, n: c.N, init: init, rounds: rounds}}
+	s := &CSPSampler{drawRuntime{kern: kern, label: "csp", cfg: cfg, n: c.N, q: c.Q, init: init, rounds: rounds}}
 	if err := s.compile(); err != nil {
 		return nil, err
 	}

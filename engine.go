@@ -208,7 +208,7 @@ func NewSampler(m *Model, opts ...Option) (*Sampler, error) {
 	kern := &mrfKernels{m: m, init: init, alg: cfg.Algorithm, transport: cfg.Transport,
 		opts: chains.Options{DropRule3: cfg.DropRule3, Parallel: cfg.Parallel}}
 	s := &Sampler{m: m, drawRuntime: drawRuntime{kern: kern, label: "mrf", cfg: cfg,
-		n: m.G.N(), init: init, rounds: rounds, theory: theory}}
+		n: m.G.N(), q: m.Q, init: init, rounds: rounds, theory: theory}}
 	if err := s.compile(); err != nil {
 		return nil, err
 	}

@@ -47,7 +47,8 @@ func TestBatchWorkersClamp(t *testing.T) {
 	}
 }
 
-// TestSoABatchable: only the marginal/propose/filter round shapes batch.
+// TestSoABatchable: only the marginal/propose/filter round shapes batch,
+// and only models whose spins fit a byte lane.
 func TestSoABatchable(t *testing.T) {
 	for alg, want := range map[chains.Algorithm]bool{
 		chains.Glauber:          true,
@@ -56,8 +57,14 @@ func TestSoABatchable(t *testing.T) {
 		chains.SystematicScan:   false,
 		chains.ChromaticGlauber: false,
 	} {
-		if got := soaBatchable(alg); got != want {
-			t.Errorf("soaBatchable(%v) = %v, want %v", alg, got, want)
+		if got := soaBatchable(alg, 16); got != want {
+			t.Errorf("soaBatchable(%v, 16) = %v, want %v", alg, got, want)
+		}
+		if got := soaBatchable(alg, chains.MaxLaneQ); got != want {
+			t.Errorf("soaBatchable(%v, %d) = %v, want %v", alg, chains.MaxLaneQ, got, want)
+		}
+		if soaBatchable(alg, chains.MaxLaneQ+1) {
+			t.Errorf("soaBatchable(%v, %d) = true, want false", alg, chains.MaxLaneQ+1)
 		}
 	}
 }

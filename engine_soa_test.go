@@ -224,3 +224,101 @@ func TestSampleNWorkerPoolClamped(t *testing.T) {
 		}
 	}
 }
+
+// TestSoAByteLaneGateBitIdentical pins the runtime's byte-lane rule on
+// both families. A q = 256 model, the widest a byte lane holds, runs on
+// SoA blocks at widths 8, 13 and 33 (partial words included); a q = 257
+// model runs per-chain (SoAWidth 0) even under WithBatchWidth(16). Every
+// batch equals the per-chain draw (WithBatchWidth(1)) byte for byte.
+func TestSoAByteLaneGateBitIdentical(t *testing.T) {
+	const seed, k, rounds = 5, 40, 12
+	g := locsample.CycleGraph(9)
+	init := make([]int, g.N())
+	for i := range init {
+		init[i] = i % 3
+	}
+	properCSP := func(q int) *locsample.CSPModel {
+		acts := make([][]float64, g.N())
+		for v := range acts {
+			acts[v] = make([]float64, q)
+			for a := range acts[v] {
+				acts[v][a] = 1
+			}
+		}
+		var cons []locsample.CSPConstraint
+		for v := 0; v < g.N(); v++ {
+			cons = append(cons, locsample.CSPConstraint{
+				Scope: []int32{int32(v), int32((v + 1) % g.N())},
+				F: func(x []int) float64 {
+					if x[0] == x[1] {
+						return 0
+					}
+					return 1
+				},
+			})
+		}
+		c, err := locsample.NewCSP(g.N(), q, acts, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	type draw func(width int) (*locsample.Batch, error)
+	families := map[string]func(q int) draw{
+		"mrf": func(q int) draw {
+			m := locsample.NewColoring(g, q)
+			return func(width int) (*locsample.Batch, error) {
+				s, err := locsample.NewSampler(m, locsample.WithRounds(rounds), locsample.WithBatchWidth(width))
+				if err != nil {
+					return nil, err
+				}
+				return s.SampleNFrom(seed, k)
+			}
+		},
+		"csp": func(q int) draw {
+			c := properCSP(q)
+			return func(width int) (*locsample.Batch, error) {
+				s, err := locsample.NewCSPSampler(g, c, init, locsample.WithRounds(rounds), locsample.WithBatchWidth(width))
+				if err != nil {
+					return nil, err
+				}
+				return s.SampleNFrom(seed, k)
+			}
+		},
+	}
+	for name, family := range families {
+		for _, tc := range []struct {
+			q      int
+			widths []int
+			soa    bool
+		}{
+			{256, []int{8, 13, 33}, true},
+			{257, []int{0, 16}, false},
+		} {
+			run := family(tc.q)
+			want, err := run(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.SoAWidth != 0 {
+				t.Fatalf("%s q=%d: WithBatchWidth(1) ran at SoAWidth %d", name, tc.q, want.SoAWidth)
+			}
+			for _, width := range tc.widths {
+				got, err := run(width)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantWidth := 0
+				if tc.soa {
+					wantWidth = width
+				}
+				if got.SoAWidth != wantWidth {
+					t.Fatalf("%s q=%d width=%d: ran at SoAWidth %d, want %d", name, tc.q, width, got.SoAWidth, wantWidth)
+				}
+				if !reflect.DeepEqual(got.Samples, want.Samples) {
+					t.Fatalf("%s q=%d width=%d: batch diverges from the per-chain draw", name, tc.q, width)
+				}
+			}
+		}
+	}
+}

@@ -69,3 +69,38 @@ func BenchmarkHardcoreLubyGlauber(b *testing.B) {
 		LubyGlauberRound(m, init, 1, i, sc)
 	}
 }
+
+// BenchmarkSoABlockRound times one SoA block round at width 32 on a
+// 128×128 grid (the batch-soa workload's block) and reports the cost of
+// one lane-update: one vertex of one lane.
+func BenchmarkSoABlockRound(b *testing.B) {
+	const w = 32
+	g := graph.Grid(128, 128)
+	for _, tc := range []struct {
+		name string
+		m    *mrf.MRF
+		alg  Algorithm
+	}{
+		{"coloring-localmetropolis", mrf.Coloring(g, 16), LocalMetropolis},
+		{"hardcore-lubyglauber", mrf.Hardcore(g, 1), LubyGlauber},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			init, err := GreedyFeasible(tc.m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			seeds := make([]uint64, w)
+			for i := range seeds {
+				seeds[i] = uint64(i + 1)
+			}
+			blk := NewSoABlock(tc.m, tc.alg, Options{}, w)
+			blk.Reset(init, seeds)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				blk.Step()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*g.N()*w), "ns/lane-update")
+		})
+	}
+}

@@ -4,13 +4,24 @@
 // The per-chain kernels in chains.go advance one chain per call, so a
 // k-chain batch re-walks the same adjacency k times per round and re-loads
 // every activity pointer once per chain per edge. The SoA block engine
-// stores W chains interleaved [vertex][chain] — chain c's value at vertex v
-// is x[v*W+c], a flat []int32 lane array — so one pass over the CSR
+// stores W chains interleaved [vertex][chain] as byte lanes — chain c's
+// value at vertex v is x[v*S+c] in a flat []uint8, where the row stride S
+// is W rounded up to whole 8-lane words — so one pass over the CSR
 // evaluates marginals, proposals, and edge filters for all W lanes with
 // contiguous loads: the neighbor index, the activity table pointer, and the
 // β/state cache lines are fetched once per vertex (or edge) and amortized
-// over the whole block. The per-round key schedules are hoisted once per
-// block per round through rng.KeysInto.
+// over the whole block. A byte holds every spin of a model with q ≤ 256
+// (MaxLaneQ); wider models run per-chain. The per-round key schedules are
+// hoisted once per block per round through rng.KeysInto, and a row of
+// lane variates at one vertex comes from rng.LaneFloat64s, which mixes the
+// vertex id once per row.
+//
+// The default coloring filter runs word-parallel: one 64-bit word holds 8
+// lanes, each of the three §4.2 rules is a zero-byte test on two XORed
+// words (eqBytes), and accepted proposals are blended into the state
+// through a byte mask, with no per-lane branch. Padding rows to whole
+// words lets the filter read full words at every width; the dead lanes
+// past W ride along and are never scattered.
 //
 // Determinism is the same contract as every other runtime in this
 // repository: lane c of a block seeded {s_0..s_{W-1}} reproduces the
@@ -22,6 +33,7 @@
 package chains
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"sync/atomic"
@@ -34,6 +46,9 @@ import (
 // MaxBatchWidth is the widest SoA block: lane sets are tracked as uint64
 // bitmasks, one bit per chain.
 const MaxBatchWidth = 64
+
+// MaxLaneQ is the largest spin count an SoA block holds: lanes are bytes.
+const MaxLaneQ = 256
 
 // SoABlock advances up to MaxBatchWidth chains of one model in lockstep
 // through shared round kernels. A block is reusable: Reset rewinds it to
@@ -55,24 +70,31 @@ type SoABlock struct {
 	maxW     int
 	coloring bool
 
-	w     int      // active lanes this run (1..maxW)
-	seeds []uint64 // lane chain-seeds
-	round int
+	w      int      // active lanes this run (1..maxW)
+	stride int      // row stride this run: w rounded up to whole words
+	seeds  []uint64 // lane chain-seeds
+	round  int
 
-	x    []int32 // [n*w] lane state, x[v*w+c]
-	prop []int32 // [n*w] lane proposals
-	beta []float64
+	x    []uint8   // [n*stride] lane state, x[v*stride+c]; lanes ≥ w are padding
+	prop []uint8   // [n*stride] lane proposals
+	beta []float64 // [n*w] lane Luby priorities
+	u    []float64 // one row of lane variates
 	marg []float64 // one marginal row, reused lane-sequentially per vertex
 
 	kb, ku, kc []rng.RoundKey // hoisted per-lane key schedules
 
-	accept []uint64 // [n] per-vertex lane accept masks
+	reject []uint64 // [n*stride/8] per-word reject flags of the coloring filter
 	pass   []uint64 // [m] per-edge lane pass masks
 }
+
+// rowStride is the padded row length of a w-lane block: whole 8-lane
+// words, so the word-parallel filter never reads past a row.
+func rowStride(w int) int { return (w + 7) &^ 7 }
 
 // NewSoABlock returns a block for up to maxW chains of model m. Only the
 // kernels with marginal/propose/filter rounds batch: Glauber, LubyGlauber,
 // and LocalMetropolis (the scan and chromatic baselines stay per-chain).
+// It panics when m has more than MaxLaneQ spins.
 func NewSoABlock(m *mrf.MRF, alg Algorithm, opts Options, maxW int) *SoABlock {
 	if maxW < 1 || maxW > MaxBatchWidth {
 		panic(fmt.Sprintf("chains: SoA block width must be in [1,%d], got %d", MaxBatchWidth, maxW))
@@ -80,14 +102,19 @@ func NewSoABlock(m *mrf.MRF, alg Algorithm, opts Options, maxW int) *SoABlock {
 	if alg != Glauber && alg != LubyGlauber && alg != LocalMetropolis {
 		panic(fmt.Sprintf("chains: %v has no SoA batch kernel", alg))
 	}
+	if m.Q > MaxLaneQ {
+		panic(fmt.Sprintf("chains: SoA lanes hold q <= %d spins, got q = %d", MaxLaneQ, m.Q))
+	}
 	n := m.G.N()
+	cells := n * rowStride(maxW)
 	b := &SoABlock{
 		M:     m,
 		Alg:   alg,
 		Opts:  opts,
 		maxW:  maxW,
-		x:     make([]int32, n*maxW),
+		x:     make([]uint8, cells),
 		beta:  make([]float64, n*maxW),
+		u:     make([]float64, maxW),
 		marg:  make([]float64, m.Q),
 		seeds: make([]uint64, maxW),
 		kb:    make([]rng.RoundKey, maxW),
@@ -95,12 +122,12 @@ func NewSoABlock(m *mrf.MRF, alg Algorithm, opts Options, maxW int) *SoABlock {
 	}
 	if alg == LocalMetropolis {
 		b.coloring = m.IsColoringModel()
-		b.prop = make([]int32, n*maxW)
+		b.prop = make([]uint8, cells)
 		if b.coloring && !opts.DropRule3 {
 			// The symmetric three-rule coloring filter fuses into a
-			// per-vertex sweep; only the asymmetric ablation and the
-			// general filter need per-edge pass masks.
-			b.accept = make([]uint64, n)
+			// per-vertex sweep over whole words; only the asymmetric
+			// ablation and the general filter need per-edge pass masks.
+			b.reject = make([]uint64, cells/8)
 		} else {
 			b.pass = make([]uint64, m.G.M())
 			if !b.coloring {
@@ -122,9 +149,9 @@ func (b *SoABlock) MaxWidth() int { return b.maxW }
 func (b *SoABlock) Round() int { return b.round }
 
 // Reset rewinds the block to round 0 with len(seeds) active lanes, every
-// lane starting from init. len(seeds) must be in [1, maxW]. Lanes are
-// packed at stride len(seeds), so a tail block narrower than the
-// construction width wastes no bandwidth on dead lanes.
+// lane starting from init. len(seeds) must be in [1, maxW]. Rows are
+// packed at the stride of len(seeds) lanes, so a tail block narrower than
+// the construction width carries at most 7 dead lanes per row.
 func (b *SoABlock) Reset(init []int, seeds []uint64) {
 	n := b.M.G.N()
 	if len(init) != n {
@@ -134,13 +161,14 @@ func (b *SoABlock) Reset(init []int, seeds []uint64) {
 		panic(fmt.Sprintf("chains: SoA lane count must be in [1,%d], got %d", b.maxW, len(seeds)))
 	}
 	w := len(seeds)
-	b.w = w
+	s := rowStride(w)
+	b.w, b.stride = w, s
 	copy(b.seeds[:w], seeds)
 	b.round = 0
 	x := b.x
 	for v := 0; v < n; v++ {
-		xv := int32(init[v])
-		row := x[v*w : v*w+w]
+		xv := uint8(init[v])
+		row := x[v*s : v*s+s]
 		for c := range row {
 			row[c] = xv
 		}
@@ -150,12 +178,12 @@ func (b *SoABlock) Reset(init []int, seeds []uint64) {
 // Scatter copies lane c into dst[c] for every active lane. Each dst[c]
 // must have length n.
 func (b *SoABlock) Scatter(dst [][]int) {
-	n, w := b.M.G.N(), b.w
+	n, w, s := b.M.G.N(), b.w, b.stride
 	if len(dst) != w {
 		panic(fmt.Sprintf("chains: Scatter got %d destinations for %d lanes", len(dst), w))
 	}
 	for v := 0; v < n; v++ {
-		row := b.x[v*w : v*w+w]
+		row := b.x[v*s : v*s+w]
 		for c, out := range dst {
 			out[v] = int(row[c])
 		}
@@ -216,14 +244,14 @@ func laneMask(w int) uint64 {
 // (the picks differ across lanes — same PRF inputs as the per-chain
 // kernel), so only the strided marginal is shared, not the walk.
 func (b *SoABlock) glauberStep() {
-	m, w := b.M, b.w
+	m, w, s := b.M, b.w, b.stride
 	n := m.G.N()
 	round := uint64(b.round)
 	for c := 0; c < w; c++ {
 		v := int(rng.PRF(b.seeds[c], TagPick, round) % uint64(n))
 		u := rng.PRFFloat64(b.seeds[c], TagUpdate, uint64(v), round)
-		if spin, ok := m.ResampleLaneU(v, b.x, w, c, b.marg, u); ok {
-			b.x[v*w+c] = int32(spin)
+		if spin, ok := m.ResampleLaneU(v, b.x, s, c, b.marg, u); ok {
+			b.x[v*s+c] = uint8(spin)
 		}
 	}
 }
@@ -234,7 +262,7 @@ func (b *SoABlock) glauberStep() {
 // sequential kernel's verbatim: BetaLocalMax's strict tie-break and
 // ResampleU's marginal+draw order.
 func (b *SoABlock) lubyGlauberRound() {
-	m, w := b.M, b.w
+	m, w, s := b.M, b.w, b.stride
 	g := m.G
 	n := g.N()
 	round := uint64(b.round)
@@ -242,10 +270,7 @@ func (b *SoABlock) lubyGlauberRound() {
 	rng.KeysInto(b.ku[:w], b.seeds[:w], TagUpdate, round)
 	beta := b.beta
 	for v := 0; v < n; v++ {
-		row := beta[v*w : v*w+w]
-		for c := range row {
-			row[c] = b.kb[c].Float64(uint64(v))
-		}
+		rng.LaneFloat64s(beta[v*w:v*w+w], b.kb[:w], uint64(v))
 	}
 	rowPtr, nbr, _ := g.CSR()
 	full := laneMask(w)
@@ -272,60 +297,83 @@ func (b *SoABlock) lubyGlauberRound() {
 		for mask != 0 {
 			c := bits.TrailingZeros64(mask)
 			mask &= mask - 1
-			if spin, ok := m.ResampleLaneU(v, b.x, w, c, b.marg, b.ku[c].Float64(uint64(v))); ok {
-				b.x[v*w+c] = int32(spin)
+			if spin, ok := m.ResampleLaneU(v, b.x, s, c, b.marg, b.ku[c].Float64(uint64(v))); ok {
+				b.x[v*s+c] = uint8(spin)
 			}
 		}
 	}
 }
 
-// coloringRoundSymmetric is ColoringLocalMetropolisRound's default
-// (all-three-rules) path over all lanes: uniform proposals, one CSR walk
-// computing every lane's accept bit per vertex, then a lane-masked apply
-// sweep. Rule arithmetic per lane matches coloringVertexOK exactly.
-func (b *SoABlock) coloringRoundSymmetric() {
-	m, w := b.M, b.w
-	g := m.G
-	n := g.N()
+// Word-parallel byte tests: lo7 holds the low 7 bits of every byte, hi1
+// the high bit.
+const (
+	lo7 = 0x7f7f7f7f7f7f7f7f
+	hi1 = 0x8080808080808080
+)
+
+// le fixes the lane-to-byte order of a word: lane j of a word is its byte
+// j on every platform, and the loads and stores compile to single moves.
+var le = binary.LittleEndian
+
+// eqBytes returns a word whose byte i is 0x80 when bytes i of a and b are
+// equal and 0 otherwise. It is exact per byte: with t = a^b, each byte of
+// (t&lo7)+lo7 sums at most 0x7f+0x7f, so no carry crosses into the next
+// byte, and the sum's high bit is set iff the byte's low 7 bits are
+// nonzero; or-ing in t adds the byte's own high bit, so the result's high
+// bit is clear exactly where t's byte is zero.
+func eqBytes(a, b uint64) uint64 {
+	t := a ^ b
+	return ^((t&lo7 + lo7) | t) & hi1
+}
+
+// proposeColors fills every live lane's uniform color proposal,
+// ⌊u·q⌋ of the lane's update variate, as coloringPropose draws it.
+func (b *SoABlock) proposeColors() {
+	w, s := b.w, b.stride
+	n := b.M.G.N()
 	rng.KeysInto(b.ku[:w], b.seeds[:w], TagUpdate, uint64(b.round))
-	qf := float64(m.Q)
-	prop, x := b.prop, b.x
+	qf := float64(b.M.Q)
+	u := b.u[:w]
 	for v := 0; v < n; v++ {
-		row := prop[v*w : v*w+w]
-		for c := range row {
-			row[c] = int32(b.ku[c].Float64(uint64(v)) * qf)
+		rng.LaneFloat64s(u, b.ku[:w], uint64(v))
+		row := b.prop[v*s : v*s+w]
+		for c, uc := range u {
+			row[c] = uint8(uc * qf)
 		}
 	}
+}
+
+// coloringRoundSymmetric is ColoringLocalMetropolisRound's default
+// (all-three-rules) path over all lanes, 8 lanes per word: uniform
+// proposals, one CSR walk collecting each word's reject flags (a lane is
+// rejected when any neighbor triggers a rule, as in coloringVertexOK),
+// then a branch-free blend of the proposals into the state.
+func (b *SoABlock) coloringRoundSymmetric() {
+	g := b.M.G
+	n, s := g.N(), b.stride
+	b.proposeColors()
 	rowPtr, nbr, _ := g.CSR()
-	full := laneMask(w)
+	prop, x, reject := b.prop, b.x, b.reject
 	for v := 0; v < n; v++ {
-		mask := full
-		vp := prop[v*w : v*w+w]
-		vx := x[v*w : v*w+w]
-		for _, u := range nbr[rowPtr[v]:rowPtr[v+1]] {
-			up := prop[int(u)*w : int(u)*w+w]
-			ux := x[int(u)*w : int(u)*w+w]
-			rem := mask
-			for rem != 0 {
-				c := bits.TrailingZeros64(rem)
-				rem &= rem - 1
-				if vp[c] == up[c] || vp[c] == ux[c] || up[c] == vx[c] {
-					mask &^= 1 << c
-				}
+		nv := nbr[rowPtr[v]:rowPtr[v+1]]
+		for j := 0; j < s; j += 8 {
+			o := v*s + j
+			vp, vx := le.Uint64(prop[o:]), le.Uint64(x[o:])
+			var rej uint64
+			for _, u := range nv {
+				ou := int(u)*s + j
+				up, ux := le.Uint64(prop[ou:]), le.Uint64(x[ou:])
+				rej |= eqBytes(vp, up) | eqBytes(vp, ux) | eqBytes(up, vx)
 			}
-			if mask == 0 {
-				break
-			}
+			reject[o/8] = rej
 		}
-		b.accept[v] = mask
 	}
-	for v := 0; v < n; v++ {
-		mask := b.accept[v]
-		for mask != 0 {
-			c := bits.TrailingZeros64(mask)
-			mask &= mask - 1
-			x[v*w+c] = prop[v*w+c]
-		}
+	// Every state read of the walk is done; blend word by word. keep is
+	// 0xff in the rejected lanes' bytes, so they hold their state.
+	for i, rej := range reject[:n*s/8] {
+		keep := (rej >> 7) * 0xff
+		o := 8 * i
+		le.PutUint64(x[o:], le.Uint64(x[o:])&keep|le.Uint64(prop[o:])&^keep)
 	}
 }
 
@@ -334,24 +382,16 @@ func (b *SoABlock) coloringRoundSymmetric() {
 // so it keeps per-edge lane pass masks (coloringEdgeFilter's rule order)
 // and applies them through the incidence walk.
 func (b *SoABlock) coloringRoundDropRule3() {
-	m, w := b.M, b.w
-	g := m.G
-	n := g.N()
-	rng.KeysInto(b.ku[:w], b.seeds[:w], TagUpdate, uint64(b.round))
-	qf := float64(m.Q)
+	g := b.M.G
+	w, s := b.w, b.stride
+	b.proposeColors()
 	prop, x := b.prop, b.x
-	for v := 0; v < n; v++ {
-		row := prop[v*w : v*w+w]
-		for c := range row {
-			row[c] = int32(b.ku[c].Float64(uint64(v)) * qf)
-		}
-	}
 	edges := g.Edges()
 	for id := range edges {
 		e := &edges[id]
-		pu := prop[int(e.U)*w : int(e.U)*w+w]
-		pv := prop[int(e.V)*w : int(e.V)*w+w]
-		xu := x[int(e.U)*w : int(e.U)*w+w]
+		pu := prop[int(e.U)*s : int(e.U)*s+w]
+		pv := prop[int(e.V)*s : int(e.V)*s+w]
+		xu := x[int(e.U)*s : int(e.U)*s+w]
 		var pm uint64
 		for c := 0; c < w; c++ {
 			if pu[c] != pv[c] && pv[c] != xu[c] {
@@ -368,17 +408,18 @@ func (b *SoABlock) coloringRoundDropRule3() {
 // with per-(lane, edge) coins in EdgePassProb's multiplication order, and
 // the incidence-walk accept.
 func (b *SoABlock) localMetropolisRound() {
-	m, w := b.M, b.w
+	m, w, s := b.M, b.w, b.stride
 	g := m.G
 	n := g.N()
 	round := uint64(b.round)
 	rng.KeysInto(b.ku[:w], b.seeds[:w], TagUpdate, round)
 	rng.KeysInto(b.kc[:w], b.seeds[:w], TagCoin, round)
-	prop, x := b.prop, b.x
+	prop, x, u := b.prop, b.x, b.u[:w]
 	for v := 0; v < n; v++ {
-		row := prop[v*w : v*w+w]
-		for c := range row {
-			row[c] = int32(m.ProposeU(v, b.ku[c].Float64(uint64(v))))
+		rng.LaneFloat64s(u, b.ku[:w], uint64(v))
+		row := prop[v*s : v*s+w]
+		for c, uc := range u {
+			row[c] = uint8(m.ProposeU(v, uc))
 		}
 	}
 	dropRule3 := b.Opts.DropRule3
@@ -386,10 +427,11 @@ func (b *SoABlock) localMetropolisRound() {
 	for id := range edges {
 		e := &edges[id]
 		a := m.NormalizedEdge(id)
-		pu := prop[int(e.U)*w : int(e.U)*w+w]
-		pv := prop[int(e.V)*w : int(e.V)*w+w]
-		xu := x[int(e.U)*w : int(e.U)*w+w]
-		xv := x[int(e.V)*w : int(e.V)*w+w]
+		pu := prop[int(e.U)*s : int(e.U)*s+w]
+		pv := prop[int(e.V)*s : int(e.V)*s+w]
+		xu := x[int(e.U)*s : int(e.U)*s+w]
+		xv := x[int(e.V)*s : int(e.V)*s+w]
+		rng.LaneFloat64s(u, b.kc[:w], uint64(id))
 		var pm uint64
 		for c := 0; c < w; c++ {
 			su, sv := int(pu[c]), int(pv[c])
@@ -397,7 +439,7 @@ func (b *SoABlock) localMetropolisRound() {
 			if !dropRule3 {
 				p *= a.At(su, int(xv[c]))
 			}
-			if b.kc[c].Float64(uint64(id)) < p {
+			if u[c] < p {
 				pm |= 1 << c
 			}
 		}
@@ -410,7 +452,7 @@ func (b *SoABlock) localMetropolisRound() {
 // iff its bit survives every incident edge's pass mask.
 func (b *SoABlock) applyPassAccept() {
 	g := b.M.G
-	n, w := g.N(), b.w
+	n, w, s := g.N(), b.w, b.stride
 	rowPtr, _, inc := g.CSR()
 	full := laneMask(w)
 	prop, x := b.prop, b.x
@@ -425,7 +467,7 @@ func (b *SoABlock) applyPassAccept() {
 		for mask != 0 {
 			c := bits.TrailingZeros64(mask)
 			mask &= mask - 1
-			x[v*w+c] = prop[v*w+c]
+			x[v*s+c] = prop[v*s+c]
 		}
 	}
 }

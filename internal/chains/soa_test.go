@@ -159,3 +159,107 @@ func TestSoABlockPanics(t *testing.T) {
 	expectPanic("no seeds", func() { blk.Reset(init, nil) })
 	expectPanic("bad init", func() { blk.Reset(init[:2], make([]uint64, 4)) })
 }
+
+// TestEqBytesBitIdentical checks the word-parallel rule test against a
+// per-byte comparison, exhaustively: every pair of byte values at each of
+// the 8 positions of a word, with random bytes elsewhere. It must flag
+// exactly the positions where the two bytes are equal. The other bytes
+// differ by XOR patterns that would carry or borrow into a neighboring
+// byte under an inexact test (0x01, 0x7f, 0x80, 0xff), by nothing, or at
+// random.
+func TestEqBytesBitIdentical(t *testing.T) {
+	src := rng.New(3)
+	patterns := []uint64{0, 0x01, 0x7f, 0x80, 0xff}
+	for pos := 0; pos < 8; pos++ {
+		sh := uint(8 * pos)
+		for x := 0; x < 256; x++ {
+			for y := 0; y < 256; y++ {
+				a := src.Uint64()
+				var d uint64
+				for i := uint(0); i < 8; i++ {
+					p := src.Uint64() & 0xff
+					if k := src.Intn(len(patterns) + 1); k < len(patterns) {
+						p = patterns[k]
+					}
+					d |= p << (8 * i)
+				}
+				b := a ^ d
+				a = a&^(0xff<<sh) | uint64(x)<<sh
+				b = b&^(0xff<<sh) | uint64(y)<<sh
+				var want uint64
+				for i := uint(0); i < 8; i++ {
+					if byte(a>>(8*i)) == byte(b>>(8*i)) {
+						want |= 0x80 << (8 * i)
+					}
+				}
+				if got := eqBytes(a, b); got != want {
+					t.Fatalf("eqBytes(%#016x, %#016x) = %#016x, want %#016x", a, b, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSoAWidestLanesMatchSequential runs the widest byte-lane models —
+// q = 256, so proposals and resamples reach spin 255 — on every SoA
+// kernel at widths 8, 13 and 33. Widths 13 and 33 leave partial words,
+// so dead lanes ride along through the word-parallel filter; every live
+// lane must still equal the per-chain Sampler at its seed.
+func TestSoAWidestLanesMatchSequential(t *testing.T) {
+	const rounds = 20
+	g := graph.Grid(5, 6)
+	coloring := mrf.Coloring(g, MaxLaneQ)
+	for _, tc := range []struct {
+		name string
+		m    *mrf.MRF
+		alg  Algorithm
+		opts Options
+	}{
+		{"localmetropolis-coloring", coloring, LocalMetropolis, Options{}},
+		{"localmetropolis-coloring-droprule3", coloring, LocalMetropolis, Options{DropRule3: true}},
+		{"localmetropolis-potts", mrf.Potts(g, MaxLaneQ, 0.3), LocalMetropolis, Options{}},
+		{"lubyglauber-coloring", coloring, LubyGlauber, Options{}},
+		{"glauber-coloring", coloring, Glauber, Options{}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			init, err := GreedyFeasible(tc.m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{8, 13, 33} {
+				seeds := make([]uint64, w)
+				for i := range seeds {
+					seeds[i] = rng.PRF(256, uint64(w), uint64(i))
+				}
+				blk := NewSoABlock(tc.m, tc.alg, tc.opts, w)
+				blk.Reset(init, seeds)
+				blk.Run(rounds)
+				got := make([][]int, w)
+				for i := range got {
+					got[i] = make([]int, tc.m.G.N())
+				}
+				blk.Scatter(got)
+				for i, seed := range seeds {
+					ref := NewSampler(tc.m, init, seed, tc.alg, tc.opts)
+					ref.Run(rounds)
+					for v := range ref.X {
+						if got[i][v] != ref.X[v] {
+							t.Fatalf("w=%d lane=%d: %d at vertex %d, per-chain sampler has %d", w, i, got[i][v], v, ref.X[v])
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestSoABlockRejectsWideQ: a model with more spins than a byte lane
+// holds has no SoA block; the runtime keeps it per-chain.
+func TestSoABlockRejectsWideQ(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSoABlock accepted q = 257")
+		}
+	}()
+	NewSoABlock(mrf.Coloring(graph.Cycle(6), MaxLaneQ+1), LocalMetropolis, Options{}, 8)
+}

@@ -98,7 +98,9 @@ type Config struct {
 	// least that many chains). Purely a throughput knob: SoA chain i is
 	// bit-identical to the per-chain path at seed ChainSeed(s, i) at every
 	// width. Only centralized batches batch — shards, Parallel, Distributed,
-	// and remote draws ignore it.
+	// and remote draws ignore it — and only models with q ≤ 256, whose
+	// spins fit the SoA blocks' byte lanes; a model with q > 256 runs
+	// per-chain (SoAWidth 0) at every BatchWidth.
 	BatchWidth int
 	// WorkerAddrs lists lsharded worker addresses; when non-empty (and
 	// Shards > 1) a compiled sampler places the shards across those
@@ -403,8 +405,23 @@ func Compile(m *mrf.MRF, cfg Config) (rounds, theory int, init []int, err error)
 		}
 	} else if len(init) != m.G.N() {
 		return 0, 0, nil, fmt.Errorf("core: init length %d for %d vertices", len(init), m.G.N())
+	} else if err = checkSpins(init, m.Q); err != nil {
+		return 0, 0, nil, err
 	}
 	return rounds, theory, init, nil
+}
+
+// checkSpins rejects an initial configuration holding a spin outside
+// [0, q). Such a value indexes past the activity tables, and a byte-lane
+// SoA block would hold it modulo 256, so the runtimes would disagree on
+// it.
+func checkSpins(init []int, q int) error {
+	for v, x := range init {
+		if x < 0 || x >= q {
+			return fmt.Errorf("core: init[%d] = %d out of [0,%d)", v, x, q)
+		}
+	}
+	return nil
 }
 
 // CompileCSP resolves and validates the run parameters of a CSP draw from
@@ -425,6 +442,9 @@ func CompileCSP(c *csp.CSP, cfg Config) (rounds int, err error) {
 	}
 	if len(cfg.Init) != c.N {
 		return 0, fmt.Errorf("core: init length %d for %d vertices", len(cfg.Init), c.N)
+	}
+	if err := checkSpins(cfg.Init, c.Q); err != nil {
+		return 0, err
 	}
 	if !c.Feasible(cfg.Init) {
 		return 0, fmt.Errorf("core: initial configuration is infeasible")

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"locsample/internal/chains"
+	"locsample/internal/csp"
 	"locsample/internal/graph"
 	"locsample/internal/mrf"
 )
@@ -159,5 +160,28 @@ func TestSampleDefaultEpsilon(t *testing.T) {
 	}
 	if res.TheoryRounds != want {
 		t.Fatalf("budget %d, want %d", res.TheoryRounds, want)
+	}
+}
+
+// TestCompileRejectsOutOfRangeSpins: an initial spin outside [0, q) is
+// an error on both families, before any runtime could read it (a byte
+// lane would hold 259 as 3).
+func TestCompileRejectsOutOfRangeSpins(t *testing.T) {
+	g := graph.Cycle(6)
+	m := mrf.Coloring(g, 16)
+	c := csp.DominatingSet(g)
+	for _, bad := range []int{-1, 16, 259} {
+		init := []int{0, 1, 0, 1, 0, 1}
+		init[2] = bad
+		if _, _, _, err := Compile(m, Config{Rounds: 5, Init: init}); err == nil {
+			t.Errorf("Compile accepted init spin %d for q = 16", bad)
+		}
+	}
+	for _, bad := range []int{-1, 2, 258} {
+		init := []int{1, 1, 1, 1, 1, 1}
+		init[2] = bad
+		if _, err := CompileCSP(c, Config{Algorithm: chains.LubyGlauber, Rounds: 5, Init: init}); err == nil {
+			t.Errorf("CompileCSP accepted init spin %d for q = 2", bad)
+		}
 	}
 }

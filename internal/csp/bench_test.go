@@ -91,6 +91,30 @@ func BenchmarkCSPLocalMetropolisRound(b *testing.B) {
 	}
 }
 
+// BenchmarkCSPSoABlockRound times one SoA block round of the dominating
+// set CSP at width 32 on a 128×128 grid (the batch-soa workload's block)
+// and reports the cost of one lane-update: one variable of one lane.
+func BenchmarkCSPSoABlockRound(b *testing.B) {
+	const w = 32
+	c := DominatingSet(graph.Grid(128, 128))
+	init := make([]int, c.N)
+	for i := range init {
+		init[i] = 1
+	}
+	seeds := make([]uint64, w)
+	for i := range seeds {
+		seeds[i] = uint64(i + 1)
+	}
+	blk := NewSoABlock(c, w)
+	blk.Reset(init, seeds)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		blk.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.N*w), "ns/lane-update")
+}
+
 // TestCSPRoundsAllocFree is the steady-state allocation gate: with scratch
 // compiled, neither round kernel may allocate — the serving path runs one
 // of these per chain per round.

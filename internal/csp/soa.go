@@ -3,10 +3,12 @@
 // import chains — see betaLocalMax — so the block is mirrored here with
 // the hypergraph walk substituted for the CSR walk).
 //
-// Chain state is stored [variable][chain] — lane c's value at variable v
-// is x[v*W+c] in a flat []int32 — so one pass over the constraint
-// incidence evaluates every lane's Luby membership and compiled-table
-// marginal with contiguous loads. The expensive per-marginal work,
+// Chain state is stored [variable][chain] as byte lanes — lane c's value
+// at variable v is x[v*W+c] in a flat []uint8, which holds every spin of a
+// CSP with q ≤ 256 (MaxLaneQ; wider CSPs run per-chain) — so one pass over
+// the constraint incidence evaluates every lane's Luby membership and
+// compiled-table marginal with contiguous loads. The β row of a variable
+// comes from rng.LaneFloat64s. The expensive per-marginal work,
 // hoisting each incident constraint's mixed-radix base index, is where
 // batching pays most here: the scope walk that computes it touches the
 // same scopeV/conTab rows for every chain, and the SoA block re-walks
@@ -32,6 +34,9 @@ import (
 // MaxBatchWidth is the widest SoA block; lane sets are uint64 bitmasks.
 const MaxBatchWidth = 64
 
+// MaxLaneQ is the largest spin count an SoA block holds: lanes are bytes.
+const MaxLaneQ = 256
+
 // SoABlock advances up to MaxBatchWidth LubyGlauber chains of one CSP in
 // lockstep. All buffers are allocated at construction; steady-state
 // rounds allocate nothing (alloc-gated).
@@ -51,7 +56,7 @@ type SoABlock struct {
 	seeds []uint64
 	round int
 
-	x    []int32   // [n*w] lane state, x[v*w+c]
+	x    []uint8   // [n*w] lane state, x[v*w+c]
 	beta []float64 // [n*w] lane Luby priorities
 	marg []float64 // one marginal row, reused lane-sequentially
 	kb   []rng.RoundKey
@@ -59,16 +64,20 @@ type SoABlock struct {
 	ms   margScratch
 }
 
-// NewSoABlock returns a block for up to maxW chains of c.
+// NewSoABlock returns a block for up to maxW chains of c. It panics when
+// c has more than MaxLaneQ spins.
 func NewSoABlock(c *CSP, maxW int) *SoABlock {
 	if maxW < 1 || maxW > MaxBatchWidth {
 		panic(fmt.Sprintf("csp: SoA block width must be in [1,%d], got %d", MaxBatchWidth, maxW))
+	}
+	if c.Q > MaxLaneQ {
+		panic(fmt.Sprintf("csp: SoA lanes hold q <= %d spins, got q = %d", MaxLaneQ, c.Q))
 	}
 	return &SoABlock{
 		C:     c,
 		maxW:  maxW,
 		seeds: make([]uint64, maxW),
-		x:     make([]int32, c.N*maxW),
+		x:     make([]uint8, c.N*maxW),
 		beta:  make([]float64, c.N*maxW),
 		marg:  make([]float64, c.Q),
 		kb:    make([]rng.RoundKey, maxW),
@@ -103,7 +112,7 @@ func (b *SoABlock) Reset(init []int, seeds []uint64) {
 	copy(b.seeds[:w], seeds)
 	b.round = 0
 	for v := 0; v < c.N; v++ {
-		xv := int32(init[v])
+		xv := uint8(init[v])
 		row := b.x[v*w : v*w+w]
 		for i := range row {
 			row[i] = xv
@@ -161,10 +170,7 @@ func (b *SoABlock) step() {
 	rng.KeysInto(b.ku[:w], b.seeds[:w], TagUpdate, round)
 	beta := b.beta
 	for v := 0; v < n; v++ {
-		row := beta[v*w : v*w+w]
-		for i := range row {
-			row[i] = b.kb[i].Float64(uint64(v))
-		}
+		rng.LaneFloat64s(beta[v*w:v*w+w], b.kb[:w], uint64(v))
 	}
 	var full uint64
 	if w == 64 {
@@ -196,7 +202,7 @@ func (b *SoABlock) step() {
 			i := bits.TrailingZeros64(mask)
 			mask &= mask - 1
 			if c.marginalLaneInto(b.x, w, i, v, b.marg, &b.ms) {
-				b.x[v*w+i] = int32(rng.CategoricalU(b.marg, b.ku[i].Float64(uint64(v))))
+				b.x[v*w+i] = uint8(rng.CategoricalU(b.marg, b.ku[i].Float64(uint64(v))))
 			}
 		}
 	}
@@ -208,7 +214,7 @@ func (b *SoABlock) step() {
 // mixed-radix bases, same ascending-constraint product order, same
 // zero-short-circuit — bit-identical weights, with the flat-configuration
 // writes (set σ_v = a, restore) replaced by an explicit spin override.
-func (c *CSP) marginalLaneInto(x []int32, w, lane, v int, out []float64, ms *margScratch) bool {
+func (c *CSP) marginalLaneInto(x []uint8, w, lane, v int, out []float64, ms *margScratch) bool {
 	cons := c.vconsIdx[c.vconsOff[v]:c.vconsOff[v+1]]
 	b := c.VertexB[v]
 	for i, ci := range cons {
@@ -263,7 +269,7 @@ func (c *CSP) marginalLaneInto(x []int32, w, lane, v int, out []float64, ms *mar
 // configuration with σ_v = a: the gather EvalOn performs, reading
 // strided lane state with the spin override applied in place of the
 // flat-configuration write.
-func (c *CSP) evalLane(ci int, x []int32, w, lane, v, a int, buf []int) float64 {
+func (c *CSP) evalLane(ci int, x []uint8, w, lane, v, a int, buf []int) float64 {
 	scope := c.scope(int32(ci))
 	vals := buf[:len(scope)]
 	for j, p := range scope {

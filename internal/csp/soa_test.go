@@ -3,6 +3,7 @@ package csp
 import (
 	"testing"
 
+	"locsample/internal/graph"
 	"locsample/internal/rng"
 )
 
@@ -97,4 +98,77 @@ func TestCSPSoABlockReuse(t *testing.T) {
 			}
 		}
 	}
+}
+
+// widestLaneCSP is a proper q-coloring of a 9-cycle as a binary CSP.
+func widestLaneCSP(t *testing.T, q int) (*CSP, []int) {
+	t.Helper()
+	g := graph.Cycle(9)
+	uni := make([][]float64, g.N())
+	for i := range uni {
+		uni[i] = make([]float64, q)
+		for a := range uni[i] {
+			uni[i][a] = 1
+		}
+	}
+	c := FromMRF(g, q, func(_, a, b int) float64 {
+		if a == b {
+			return 0
+		}
+		return 1
+	}, uni)
+	init := make([]int, g.N())
+	for i := range init {
+		init[i] = i % 3
+	}
+	if !c.Feasible(init) {
+		t.Fatal("test init infeasible")
+	}
+	return c, init
+}
+
+// TestCSPSoAWidestLanesMatchSequential runs the widest byte-lane CSP,
+// q = 256, at widths 8, 13 and 33: every lane must equal
+// LubyGlauberRoundPRF at its seed, resamples up to spin 255 included.
+func TestCSPSoAWidestLanesMatchSequential(t *testing.T) {
+	const rounds = 20
+	c, init := widestLaneCSP(t, MaxLaneQ)
+	sc := NewScratch(c)
+	for _, w := range []int{8, 13, 33} {
+		seeds := make([]uint64, w)
+		for i := range seeds {
+			seeds[i] = rng.PRF(256, uint64(w), uint64(i))
+		}
+		blk := NewSoABlock(c, w)
+		blk.Reset(init, seeds)
+		blk.Run(rounds)
+		got := make([][]int, w)
+		for i := range got {
+			got[i] = make([]int, c.N)
+		}
+		blk.Scatter(got)
+		for i, seed := range seeds {
+			ref := append([]int(nil), init...)
+			for r := 0; r < rounds; r++ {
+				LubyGlauberRoundPRF(c, ref, seed, r, sc)
+			}
+			for v := range ref {
+				if got[i][v] != ref[v] {
+					t.Fatalf("w=%d lane=%d: %d at variable %d, LubyGlauberRoundPRF has %d", w, i, got[i][v], v, ref[v])
+				}
+			}
+		}
+	}
+}
+
+// TestCSPSoABlockRejectsWideQ: a CSP with more spins than a byte lane
+// holds has no SoA block; the runtime keeps it per-chain.
+func TestCSPSoABlockRejectsWideQ(t *testing.T) {
+	c, _ := widestLaneCSP(t, MaxLaneQ+1)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewSoABlock accepted q = 257")
+		}
+	}()
+	NewSoABlock(c, 8)
 }

@@ -20,10 +20,10 @@ func laneTestModels() map[string]*MRF {
 
 // laneConfigs builds w distinct feasible-ish configurations and their SoA
 // interleaving x[v*w+lane].
-func laneConfigs(m *MRF, w int, seed uint64) (flat [][]int, strided []int32) {
+func laneConfigs(m *MRF, w int, seed uint64) (flat [][]int, strided []uint8) {
 	n := m.G.N()
 	flat = make([][]int, w)
-	strided = make([]int32, n*w)
+	strided = make([]uint8, n*w)
 	for lane := 0; lane < w; lane++ {
 		src := rng.New(seed + uint64(lane))
 		x := make([]int, n)
@@ -32,7 +32,7 @@ func laneConfigs(m *MRF, w int, seed uint64) (flat [][]int, strided []int32) {
 		}
 		flat[lane] = x
 		for v := 0; v < n; v++ {
-			strided[v*w+lane] = int32(x[v])
+			strided[v*w+lane] = uint8(x[v])
 		}
 	}
 	return flat, strided

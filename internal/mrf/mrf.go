@@ -314,13 +314,15 @@ func (m *MRF) ResampleU(v int, x []int, scratch []float64, u float64) (c int, ok
 }
 
 // MarginalLaneInto is MarginalInto over one lane of a structure-of-arrays
-// multi-chain state: x holds w interleaved chains laid out [vertex][chain]
-// (chain c's value at vertex v is x[v*w+c]), and the marginal is computed
-// for lane `lane`. The CSR walk, the per-slot multiplication order, the
-// zero-skip, and the normalization are those of MarginalInto verbatim —
-// only the state load is strided — so each lane's marginal is bit-identical
-// to the per-chain kernel's (pinned by TestMarginalLaneMatchesSequential).
-func (m *MRF) MarginalLaneInto(v int, x []int32, w, lane int, out []float64) bool {
+// multi-chain state: x holds interleaved chains as byte lanes laid out
+// [vertex][chain] at row stride `stride` (chain c's value at vertex v is
+// x[v*stride+c]; a row may be padded past the live lanes), and the
+// marginal is computed for lane `lane`. The CSR walk, the per-slot
+// multiplication order, the zero-skip, and the normalization are those of
+// MarginalInto verbatim — only the state load is strided — so each lane's
+// marginal is bit-identical to the per-chain kernel's (pinned by
+// TestMarginalLaneMatchesSequential).
+func (m *MRF) MarginalLaneInto(v int, x []uint8, stride, lane int, out []float64) bool {
 	b := m.VertexB[v]
 	q := m.Q
 	for c := 0; c < q; c++ {
@@ -328,7 +330,7 @@ func (m *MRF) MarginalLaneInto(v int, x []int32, w, lane int, out []float64) boo
 	}
 	for t, end := m.rowPtr[v], m.rowPtr[v+1]; t < end; t++ {
 		a := m.EdgeA[m.inc[t]].A
-		xu := int(x[int(m.nbr[t])*w+lane])
+		xu := int(x[int(m.nbr[t])*stride+lane])
 		for c := 0; c < q; c++ {
 			if out[c] != 0 {
 				out[c] *= a[c*q+xu]
@@ -353,8 +355,8 @@ func (m *MRF) MarginalLaneInto(v int, x []int32, w, lane int, out []float64) boo
 // (see MarginalLaneInto for the layout): marginal into scratch, then a
 // CategoricalU draw with the supplied uniform — the fused heat-bath
 // kernel the SoA batch rounds call per winning lane.
-func (m *MRF) ResampleLaneU(v int, x []int32, w, lane int, scratch []float64, u float64) (c int, ok bool) {
-	if !m.MarginalLaneInto(v, x, w, lane, scratch) {
+func (m *MRF) ResampleLaneU(v int, x []uint8, stride, lane int, scratch []float64, u float64) (c int, ok bool) {
+	if !m.MarginalLaneInto(v, x, stride, lane, scratch) {
 		return 0, false
 	}
 	return rng.CategoricalU(scratch, u), true

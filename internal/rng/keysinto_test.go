@@ -25,3 +25,30 @@ func TestKeysIntoMatchesKey(t *testing.T) {
 		}
 	}
 }
+
+// TestLaneFloat64sBitIdentical pins the shared-id lane helper to
+// RoundKey.Float64: lane i of a row must be exactly keys[i].Float64(id),
+// for random seeds, tags and rounds and at the extreme ids.
+func TestLaneFloat64sBitIdentical(t *testing.T) {
+	src := New(20)
+	const lanes = 37
+	keys := make([]RoundKey, lanes)
+	seeds := make([]uint64, lanes)
+	dst := make([]float64, lanes)
+	for trial := 0; trial < 200; trial++ {
+		for i := range seeds {
+			seeds[i] = src.Uint64()
+		}
+		tag, round := src.Uint64(), src.Uint64()
+		KeysInto(keys, seeds, tag, round)
+		for _, id := range []uint64{0, 1, ^uint64(0), src.Uint64()} {
+			w := 1 + src.Intn(lanes)
+			LaneFloat64s(dst[:w], keys, id)
+			for i := 0; i < w; i++ {
+				if want := keys[i].Float64(id); dst[i] != want {
+					t.Fatalf("trial %d id=%d lane %d: %v, want %v", trial, id, i, dst[i], want)
+				}
+			}
+		}
+	}
+}

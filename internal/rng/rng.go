@@ -224,6 +224,20 @@ func (k RoundKey) FillFloat64s(dst []float64, base uint64) {
 	}
 }
 
+// LaneFloat64s evaluates one variate per key at a shared id: dst[i] =
+// keys[i].Float64(id), bit-identical, for every i < len(dst). The SoA
+// block kernels draw a vertex's whole lane row this way, each lane's key
+// at the vertex's id, so the id is mixed once per row and each lane
+// finishes in 2 mixes instead of 3. RoundKey.Uint64 is over the inliner's
+// budget, so the loop also saves a function call per variate.
+func LaneFloat64s(dst []float64, keys []RoundKey, id uint64) {
+	h := mix(id + golden)
+	keys = keys[:len(dst)]
+	for i, k := range keys {
+		dst[i] = float64(mix(mix(k.prefix^h)^k.round)>>11) / (1 << 53)
+	}
+}
+
 // KeysInto hoists one round's key schedule for a block of chains:
 // dst[i] = Key(seeds[i], tag, round). The SoA batch kernels call it once
 // per block per round — W key derivations amortized over one CSR walk

@@ -221,7 +221,9 @@ func WithInitial(init []int) Option {
 // whenever a batch has at least w chains. Purely a throughput knob:
 // batch chain i is bit-identical to Sample(WithSeed(ChainSeed(s, i))) at
 // every width. Sharded, vertex-parallel, distributed, and remote batches
-// ignore it (those runtimes parallelize within a chain instead).
+// ignore it (those runtimes parallelize within a chain instead), and so
+// do models with q > 256: SoA lanes are bytes, so such a model's batches
+// run per-chain and report SoAWidth 0.
 func WithBatchWidth(w int) Option {
 	return func(c *core.Config) { c.BatchWidth = w }
 }

@@ -34,7 +34,7 @@ type drawRuntime struct {
 	kern  kernels
 	label string // "mrf" | "csp": the metrics engine label and trace name
 	cfg   core.Config
-	n     int
+	n, q  int // vertices and spins per vertex
 	init  []int
 	// rounds is the per-chain budget draws run; theory is the automatic
 	// budget it came from (0 when pinned, and for CSPs, which have none).
@@ -548,7 +548,7 @@ func (rt *drawRuntime) sampleN(ctx context.Context, seed uint64, k int) (*Batch,
 	}
 	workers := rt.workers()
 	var abort atomic.Bool
-	if rt.replay == nil && rt.shards == 0 && rt.cfg.Parallel <= 1 && soaBatchable(rt.cfg.Algorithm) {
+	if rt.replay == nil && rt.shards == 0 && rt.cfg.Parallel <= 1 && soaBatchable(rt.cfg.Algorithm, rt.q) {
 		if width := batchWidth(rt.cfg.BatchWidth, k, workers); width > 0 {
 			// The tail block runs with its natural lane count: lanes pack
 			// at the run width, so no dead lanes are computed.
@@ -700,10 +700,14 @@ func newDrawMetrics(reg *obs.Registry, engine string) (draws *obs.Counter, drawN
 	return draws, drawNS, rounds
 }
 
-// soaBatchable reports whether alg has an SoA batch kernel (the round
-// shapes with marginal/propose/filter phases; the scan and chromatic
-// baselines stay per-chain).
-func soaBatchable(alg chains.Algorithm) bool {
+// soaBatchable reports whether a q-spin model under alg runs on SoA
+// blocks: alg must have a batch kernel (the round shapes with
+// marginal/propose/filter phases; the scan and chromatic baselines stay
+// per-chain), and every spin must fit a byte lane.
+func soaBatchable(alg chains.Algorithm, q int) bool {
+	if q > chains.MaxLaneQ {
+		return false
+	}
 	return alg == chains.Glauber || alg == chains.LubyGlauber || alg == chains.LocalMetropolis
 }
 
@@ -711,9 +715,9 @@ func soaBatchable(alg chains.Algorithm) bool {
 var soaWidths = [...]int{64, 32, 16, 8}
 
 // batchWidth resolves the SoA lane width for a k-chain batch under a
-// worker budget. explicit is Config.BatchWidth: 1 forces the per-chain
-// path, w ≥ 2 pins the width (honored whenever the batch has at least w
-// chains), 0 auto-picks the widest block that still cuts the batch into
+// worker budget, once soaBatchable has admitted the model. explicit is
+// Config.BatchWidth: 1 forces the per-chain path, w ≥ 2 pins the width
+// (honored whenever the batch has at least w chains), 0 auto-picks the widest block that still cuts the batch into
 // at least `workers` blocks — wider blocks amortize the CSR walk harder,
 // but a batch with fewer blocks than workers would idle cores. Returns 0
 // for "run per-chain".
